@@ -10,23 +10,24 @@ negative root of the characteristic function
                    * sum_i gamma_i^2 * prod_{j != i} (kappa*gamma_j^2 - theta)
 
 with kappa = m c^2 / (m - 1).  Rather than locating the root of this
-(m+1)-degree polynomial directly, `negative_root` solves the equivalent
+(m+1)-degree polynomial directly, the root is found from the equivalent
 monotone constraint
 
     sum_i (1 + tau*x_i) / (x_i + t) = 1,      x_i = kappa*gamma_i^2,
     tau = (kappa + 1) / (m*kappa),
 
 whose left side is strictly decreasing in t, so the root is unique and
-bracketed by [m, m + max_i gamma_i^2].
+bracketed by [m, m + max_i gamma_i^2].  One batched solver, `_roots_batch`,
+solves it for every row of a batch; the tail kernel calls it directly and
+`negative_root` calls it on a one-row batch to certify a single root.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketSignError, InvalidParameterError
 
@@ -37,10 +38,6 @@ __all__ = [
     "negative_root",
     "theta_lower_bound",
 ]
-
-# relative tolerance for the root: far below quadrature error so the
-# integral endpoint is effectively exact
-_ROOT_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -137,9 +134,44 @@ def g_value(cfg: GammaConfig, theta: float) -> float:
     return -(m + th) * full + (cfg.kappa + (cfg.kappa + 1.0) / m * th) * s
 
 
-def _constraint_minus_one(t: float, x: np.ndarray, tau: float) -> float:
-    """sum_i (1 + tau*x_i)/(x_i + t) - 1; strictly decreasing in t > 0."""
-    return float(np.sum((1.0 + tau * x) / (x + t))) - 1.0
+def _root_bracket(x: np.ndarray, tau: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Certified bracket [m, m + max gamma^2 + eps] for each row of x.
+
+    max gamma^2 = max x / kappa, and kappa = 1/(m*tau - 1).
+    """
+    kappa = 1.0 / (m * tau - 1.0)
+    top = np.max(x, axis=1) / kappa
+    return np.full(x.shape[0], float(m)), float(m) + top + 1e-8 * (1.0 + top)
+
+
+def _constraint_minus_one(t: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i/(x_i + t) - 1 per row, w = 1 + tau*x; strictly decreasing in t > 0."""
+    return np.sum(w / (x + t[:, None]), axis=1) - 1.0
+
+
+def _roots_batch(x: np.ndarray, tau: float, m: int) -> np.ndarray:
+    """Vectorized |theta_{m+1}| for rows of x: bisection then Newton on the
+    monotone constraint sum_i (1 + tau*x_i)/(x_i + t) = 1.
+
+    The constraint's left side minus one is strictly decreasing and convex
+    in t > 0, so Newton iterates started on the below-root side of the
+    certified bracket converge monotonically upward; four steps after a
+    coarse bisection reach machine precision.
+    """
+    lo, hi = _root_bracket(x, tau, m)
+    w = 1.0 + tau * x
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        take_lo = _constraint_minus_one(mid, x, w) > 0.0
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    t = lo
+    for _ in range(4):
+        xt = x + t[:, None]
+        f = np.sum(w / xt, axis=1) - 1.0
+        fp = np.sum(w / (xt * xt), axis=1)
+        t = np.minimum(t + f / fp, hi)
+    return t
 
 
 def negative_root(cfg: GammaConfig) -> NegativeRoot:
@@ -149,31 +181,21 @@ def negative_root(cfg: GammaConfig) -> NegativeRoot:
         BracketSignError: if the monotone constraint does not change sign
             over [m, m + max gamma^2 + eps] (impossible for valid input).
     """
-    x = cfg.x
-    tau = cfg.tau
-    m = float(cfg.m)
-    gmax2 = float(np.max(cfg.gammas)) ** 2
-    eps = 1e-8 * (1.0 + gmax2)
-    lo, hi = m, m + gmax2 + eps
-    f_lo = _constraint_minus_one(lo, x, tau)
-    f_hi = _constraint_minus_one(hi, x, tau)
+    x = cfg.x[None, :]
+    w = 1.0 + cfg.tau * x
+    lo, hi = _root_bracket(x, cfg.tau, cfg.m)
+    f_lo = float(_constraint_minus_one(lo, x, w)[0])
+    f_hi = float(_constraint_minus_one(hi, x, w)[0])
     if f_lo < 0.0 or f_hi > 0.0:
         raise BracketSignError(
-            f"no sign change over certified bracket [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
+            f"no sign change over certified bracket [{lo[0]}, {hi[0]}]: f(lo)={f_lo}, f(hi)={f_hi}"
         )
-    if f_lo == 0.0:
-        t = lo
-    elif f_hi == 0.0:
-        t = hi
-    else:
-        t = brentq(
-            _constraint_minus_one, lo, hi, args=(x, tau), xtol=1e-300, rtol=_ROOT_RTOL, maxiter=200
-        )
+    t = _roots_batch(x, cfg.tau, cfg.m)
     return NegativeRoot(
-        abs_value=float(t),
-        bracket_low=lo,
-        bracket_high=hi,
-        residual=_constraint_minus_one(float(t), x, tau),
+        abs_value=float(t[0]),
+        bracket_low=float(lo[0]),
+        bracket_high=float(hi[0]),
+        residual=float(_constraint_minus_one(t, x, w)[0]),
     )
 
 

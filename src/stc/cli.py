@@ -6,7 +6,9 @@ to a file instead of stdout.
 
 Exit codes are a stable contract: 0 success, 2 usage/parameter error,
 3 method infeasibility (no valid critical value / numerical failure),
-4 data error (malformed CSV, design violations).
+4 data error (malformed CSV, design violations).  The STC_THREADS
+environment variable caps ``table --workers``; a non-integer value is a
+parameter error.
 
 The panel CSV schema: UTF-8, '.' decimal, header ``cluster,unit,time,
 outcome,c`` where ``unit`` and ``c`` (and ``time`` for cross-sections) may
@@ -235,7 +237,10 @@ def _workers(args) -> int:
     workers = getattr(args, "workers", 1)
     cap = os.environ.get("STC_THREADS")
     if cap is not None:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise InvalidParameterError(f"STC_THREADS must be an integer, got {cap!r}") from None
     return max(1, workers)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .distributions import normal_quantile, t_quantile, t_two_sided_tail
-from .errors import InvalidParameterError, NoValidCriticalValueError
+from .errors import InvalidParameterError, NoValidCriticalValueError, StcError
 from .rejection import QuadratureSettings
 from .worstcase import HeterogeneitySpec, WorstCaseResult, p_max
 
@@ -318,7 +318,7 @@ def _table_cell(args: tuple) -> TableCell:
     try:
         res = critical_value(m, alpha, HeterogeneitySpec(m=m, k=k, rho=rho), settings)
         return TableCell(alpha, m, rho, res.cv, res.method, None)
-    except Exception as exc:  # per-cell capture: a bad cell must not kill the grid
+    except StcError as exc:  # a cell the library cannot solve must not kill the grid
         return TableCell(alpha, m, rho, None, None, f"{type(exc).__name__}: {exc}")
 
 
@@ -332,7 +332,8 @@ def generate_table(
 ) -> Table:
     """Grid of critical values over alphas x rhos x ms at a fixed k.
 
-    Cells are independent; failures are recorded in-cell.  ``workers`` > 1
+    Cells are independent; a library error (`StcError`) is recorded in its
+    cell, while any other exception propagates.  ``workers`` > 1
     evaluates cells in a process pool (deterministic output order).
     """
     jobs = [

@@ -5,10 +5,10 @@ Every design reduces to one tiny regression per cluster:
   * ClusteredMean — the cluster mean of the outcome.
   * DiD / TwoWayFE — mean(outcome | t >= post_start) − mean(outcome | t <
     post_start), the OLS coefficient on the post indicator.
-  * TripleDiff — OLS of the outcome on {1, C, Post, C·Post}; the effect is
-    the interaction coefficient, solved from the 4x4 normal equations by
-    Gaussian elimination with partial pivoting (no general linear-algebra
-    machinery: the system is fixed-shape and tiny).
+  * TripleDiff — the interaction coefficient of the OLS of the outcome on
+    {1, C, Post, C·Post}.  That model is saturated (one parameter per
+    (C, Post) cell), so the coefficient is the difference-in-differences of
+    the four cell means; an empty cell is the rank-deficient case.
 
 The treated cluster's estimate becomes `ClusterEstimates.treated`; control
 estimates are ordered by cluster id so row order never matters.
@@ -16,7 +16,6 @@ estimates are ordered by cluster id so row order never matters.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,26 +123,6 @@ class Extraction:
     design: DesignKind
 
 
-def _solve4(xtx: np.ndarray, xty: np.ndarray, cluster_id: str) -> np.ndarray:
-    """Solve the k x k normal equations by elimination with partial pivoting."""
-    a = np.column_stack([xtx.astype(float), xty.astype(float)])
-    k = xty.size
-    scale = np.abs(xtx).max() or 1.0
-    for col in range(k):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) <= 1e-12 * scale:
-            raise RankDeficiencyError(
-                f"cluster {cluster_id!r}: design is rank deficient "
-                "(a regressor is constant or collinear within the cluster)"
-            )
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-        a[col] /= a[col, col]
-        others = [r for r in range(k) if r != col]
-        a[others] -= np.outer(a[others, col], a[col])
-    return a[:, k]
-
-
 def _canonical(data: PanelData) -> PanelData:
     """Reorder rows into a fixed sort so results are bit-identical under shuffles."""
     keys = [data.outcome]
@@ -197,14 +176,24 @@ def _cluster_theta(
     if kind in (DesignKind.DID, DesignKind.TWO_WAY_FE):
         return float(np.mean(y[post]) - np.mean(y[~post]))
 
-    c = _require(data, "c_indicator", kind)[mask].astype(float)
+    c = _require(data, "c_indicator", kind)[mask]
     if c.min() == c.max():
         raise DesignViolationError(
             f"cluster {cluster_id!r} needs both c_indicator values for {kind.value}"
         )
-    x = np.column_stack([np.ones(y.size), c, post.astype(float), c * post])
-    beta = _solve4(x.T @ x, x.T @ y, cluster_id)
-    return float(beta[3])
+    means = {}
+    for cv in (0, 1):
+        for label, period in (("before", ~post), ("after", post)):
+            cell = y[(c == cv) & period]
+            if cell.size == 0:
+                raise RankDeficiencyError(
+                    f"cluster {cluster_id!r}: design is rank deficient "
+                    f"(no observations with c_indicator={cv} {label} post_start)"
+                )
+            means[cv, label] = np.mean(cell)
+    return float(
+        (means[1, "after"] - means[1, "before"]) - (means[0, "after"] - means[0, "before"])
+    )
 
 
 def extract(data: PanelData, kind: DesignKind) -> Extraction:
@@ -212,8 +201,8 @@ def extract(data: PanelData, kind: DesignKind) -> Extraction:
 
     Controls are ordered by cluster id.  Raises a design-violation error
     naming the offending cluster when its observations cannot identify the
-    design's coefficient, and a rank-deficiency error when the interaction
-    regression is collinear.
+    design's coefficient, and a rank-deficiency error when one of a
+    TripleDiff cluster's four (C, Post) cells is empty.
     """
     if not isinstance(kind, DesignKind):
         raise InvalidParameterError(f"unknown design kind: {kind!r}")

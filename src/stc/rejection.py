@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charpoly import GammaConfig, negative_root
+from .charpoly import GammaConfig, _roots_batch
 from .errors import InvalidParameterError, NumericalFailureError
 
 __all__ = ["QuadratureSettings", "rejection_probability"]
@@ -49,13 +49,10 @@ class QuadratureSettings:
     Attributes:
         panels: number of equal panels on u in [0, pi/2].
         nodes_per_panel: Gauss-Legendre nodes per panel.
-        abs_tol: target absolute error; doubling the panel count must move
-            the result by less than this.
     """
 
     panels: int = 64
     nodes_per_panel: int = 16
-    abs_tol: float = 1e-9
 
     def __post_init__(self):
         if int(self.panels) < 1:
@@ -66,7 +63,6 @@ class QuadratureSettings:
             )
         object.__setattr__(self, "panels", int(self.panels))
         object.__setattr__(self, "nodes_per_panel", int(self.nodes_per_panel))
-        object.__setattr__(self, "abs_tol", float(self.abs_tol))
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -83,38 +79,6 @@ def _nodes_weights(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.nd
     u.flags.writeable = False
     wu.flags.writeable = False
     return u, wu
-
-
-def _roots_batch(x: np.ndarray, tau: float, m: int) -> np.ndarray:
-    """Vectorized |theta_{m+1}| for rows of x: bisection then Newton on the
-    monotone constraint sum_i (1 + tau*x_i)/(x_i + t) = 1.
-
-    The constraint's left side minus one is strictly decreasing and convex
-    in t > 0, so Newton iterates started on the below-root side of the
-    certified bracket converge monotonically upward; four steps after a
-    coarse bisection reach machine precision.
-    """
-    # bracket [m, m + max gamma^2 + eps]; max gamma^2 = max x / kappa and
-    # kappa = 1/(m*tau - 1)
-    kappa = 1.0 / (m * tau - 1.0)
-    top = np.max(x, axis=1) / kappa
-    eps = 1e-8 * (1.0 + top)
-    lo = np.full(x.shape[0], float(m))
-    hi = float(m) + top + eps
-    w = 1.0 + tau * x
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        f = np.sum(w / (x + mid[:, None]), axis=1) - 1.0
-        take_lo = f > 0.0
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    t = lo
-    for _ in range(4):
-        xt = x + t[:, None]
-        f = np.sum(w / xt, axis=1) - 1.0
-        fp = np.sum(w / (xt * xt), axis=1)
-        t = np.minimum(t + f / fp, hi)
-    return t
 
 
 def _tail_quadrature(
@@ -141,7 +105,9 @@ def _tail_quadrature(
         log_pq = sum_log + np.log(ratio_sum)
         log_u_term = (0.5 * m - 1.0) * np.log(s) - 0.5 * log_pq
         integrand = 2.0 * np.sqrt(tb)[:, None] * sin_u[None, :] * np.exp(log_u_term)
-        out[start : start + chunk] = integrand @ wu / math.pi
+        # a row-wise sum, not a BLAS matrix-vector product: a row's value must
+        # not depend on the batch it is evaluated in
+        out[start : start + chunk] = np.sum(integrand * wu, axis=1) / math.pi
     return out
 
 
@@ -150,8 +116,9 @@ def _tails_for_gamma_rows(
 ) -> np.ndarray:
     """Rejection probabilities for a batch of ratio rows at a common c.
 
-    Internal fast path for the worst-case optimizers; each row must be a
-    valid (not all-zero) nonnegative configuration.
+    The one entry to the tail kernel, for the worst-case optimizers and for
+    `rejection_probability` alike; each row must be a valid (not all-zero)
+    nonnegative configuration.
     """
     settings = settings or DEFAULT_SETTINGS
     g = np.asarray(gammas, dtype=np.float64)
@@ -192,18 +159,4 @@ def rejection_probability(
         NumericalFailureError: if any intermediate is non-finite or the
             result escapes [0, 1] beyond tolerance.
     """
-    settings = settings or DEFAULT_SETTINGS
-    root = negative_root(cfg)
-    vals = _tail_quadrature(
-        cfg.x[None, :], np.array([root.abs_value]), cfg.tau, cfg.m, settings
-    )
-    val = float(vals[0])
-    if not math.isfinite(val):
-        raise NumericalFailureError(
-            f"non-finite tail integral: m={cfg.m}, c={cfg.c}, t={root.abs_value}"
-        )
-    if val > 1.0 + 1e-6 or val < -1e-6:
-        raise NumericalFailureError(
-            f"tail integral escaped [0,1]: value={val}, m={cfg.m}, c={cfg.c}"
-        )
-    return min(max(val, 0.0), 1.0)
+    return float(_tails_for_gamma_rows(cfg.gammas[None, :], cfg.c, settings)[0])

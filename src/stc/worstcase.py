@@ -15,9 +15,12 @@ two-sided t-test at threshold c is attained either
 one-dimensional maximization (log-spaced grid, then golden-section
 refinement); at most k*(2m+1-k)/2 of them are needed for one (k, rho), and
 a memo keyed by (m1, m0, gamma-domain) lets an all-k sweep share work.
-Inside `p_max` the branches are optimized in lock-step batches so that each
-golden-section iteration costs one vectorized tail evaluation for the whole
-group rather than one scalar evaluation per branch.
+One optimizer, `_optimize_gamma_branches`, runs that search for a group of
+branches in lock-step, so that each golden-section iteration costs one
+vectorized tail evaluation for the whole group; `p_max` calls it on growing
+groups and `p_tilde` on a single branch.  The tail kernel's values do not
+depend on the batch a row is evaluated in, so a branch's trace is the same
+either way.
 """
 from __future__ import annotations
 
@@ -164,15 +167,16 @@ def p_zero_treated(m: int, c: float) -> float:
     return _p_zero_treated_detail(m, c)[0]
 
 
-def _boundary_gammas(
-    m: int, rho: float, m1: int, m0: int, gamma_rest: np.ndarray
-) -> np.ndarray:
-    """Rows (len(gamma_rest), m): m1 at rho^{-1}, m0 zeros, rest gamma."""
-    rest = m - m1 - m0
-    rows = np.empty((gamma_rest.size, m))
-    rows[:, :m1] = 1.0 / rho
-    rows[:, m1 : m1 + m0] = 0.0
-    rows[:, m1 + m0 :] = gamma_rest[:, None] * np.ones(rest)
+def _boundary_rows(m: int, rho: float, m1, m0, gamma) -> np.ndarray:
+    """Boundary ratio rows, one per (m1, m0, gamma) triple (broadcast).
+
+    Row i has m1[i] ratios at rho^{-1}, then m0[i] zeros, then the free
+    ratio gamma[i] in its remaining m - m1[i] - m0[i] columns.
+    """
+    m1, m0, gamma = np.broadcast_arrays(*map(np.atleast_1d, (m1, m0, gamma)))
+    col = np.arange(m)
+    rows = np.where(col < (m1 + m0)[:, None], 0.0, gamma[:, None])
+    rows[col < m1[:, None]] = 1.0 / rho
     return rows
 
 
@@ -209,13 +213,11 @@ def p_bar(
             raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma!r}")
         if gamma == 0.0 and m1 == 0:
             raise InvalidParameterError("all-zero ratio configuration (m1=0, gamma=0)")
-        rest_vals = np.array([gamma])
     else:
         if m1 == 0:
             raise InvalidParameterError("all-zero ratio configuration (m1=0, m0=m)")
-        rest_vals = np.array([0.0])  # no remaining columns exist; value unused
-    rows = _boundary_gammas(m, rho, m1, m0, rest_vals)
-    return float(_tails_for_gamma_rows(rows, c, settings)[0])
+        gamma = 0.0  # no remaining columns exist; value unused
+    return float(_tails_for_gamma_rows(_boundary_rows(m, rho, m1, m0, gamma), c, settings)[0])
 
 
 def _gamma_candidates(rho: float, rho_lower: float, m1: int) -> np.ndarray:
@@ -226,82 +228,6 @@ def _gamma_candidates(rho: float, rho_lower: float, m1: int) -> np.ndarray:
     if candidates[0] == 0.0 and m1 == 0:
         candidates = candidates[1:]  # gamma = 0 with no rho^{-1} entries is degenerate
     return candidates
-
-
-def _p_tilde_detail(
-    m: int,
-    c: float,
-    k: int,
-    rho: float,
-    m1: int,
-    m0: int,
-    settings: QuadratureSettings | None,
-    stop_above: float | None = None,
-) -> tuple[BranchTrace, bool]:
-    """One-dimensional maximization of p_bar over the free ratio gamma.
-
-    Returns (trace, complete).  With ``stop_above`` set, the search may stop
-    as soon as the branch value certifiably exceeds it, returning
-    complete=False; the value is then a lower bound for the branch.
-    """
-    settings = settings or DEFAULT_SETTINGS
-    rest = m - m1 - m0
-    rho_lower = 0.0 if m1 >= m - k + 1 else 1.0 / rho
-    if rest == 0:
-        value = p_bar(m, c, rho, None, m1, m0, settings)
-        return BranchTrace(m1, m0, rho_lower, None, value, 1), True
-
-    def final(g: float) -> float:
-        row = _boundary_gammas(m, rho, m1, m0, np.array([g]))
-        return float(_tails_for_gamma_rows(row, c, settings)[0])
-
-    candidates = _gamma_candidates(rho, rho_lower, m1)
-    rows = _boundary_gammas(m, rho, m1, m0, candidates)
-    values = _tails_for_gamma_rows(rows, c, _PROBE_SETTINGS)
-    n_evals = candidates.size
-
-    best = int(np.argmax(values))
-    best_gamma = float(candidates[best])
-    best_value = float(values[best])
-
-    if stop_above is not None and best_value > stop_above:
-        confirmed = final(best_gamma)
-        if confirmed > stop_above:
-            return (
-                BranchTrace(m1, m0, rho_lower, best_gamma, confirmed, n_evals + 1),
-                False,
-            )
-        best_value = confirmed
-
-    # golden-section refinement on the bracket around the grid argmax
-    def probe(g: float) -> float:
-        row = _boundary_gammas(m, rho, m1, m0, np.array([g]))
-        return float(_tails_for_gamma_rows(row, c, _PROBE_SETTINGS)[0])
-
-    a = float(candidates[best - 1]) if best > 0 else float(candidates[0])
-    b = float(candidates[best + 1]) if best + 1 < candidates.size else float(candidates[-1])
-    if b > a:
-        x1 = b - _INVPHI * (b - a)
-        x2 = a + _INVPHI * (b - a)
-        f1, f2 = probe(x1), probe(x2)
-        n_evals += 2
-        while (b - a) > _GOLDEN_REL_TOL * max(0.5 * (a + b), 1e-9):
-            if f1 >= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - _INVPHI * (b - a)
-                f1 = probe(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + _INVPHI * (b - a)
-                f2 = probe(x2)
-            n_evals += 1
-            if f1 > best_value:
-                best_value, best_gamma = f1, x1
-            if f2 > best_value:
-                best_value, best_gamma = f2, x2
-    value = final(best_gamma)
-    n_evals += 1
-    return BranchTrace(m1, m0, rho_lower, best_gamma, value, n_evals), True
 
 
 def p_tilde(
@@ -325,7 +251,13 @@ def p_tilde(
     _check_branch(m, rho, m1, m0)
     if not 1 <= k <= m:
         raise InvalidParameterError(f"k must lie in 1..{m}, got {k}")
-    return _p_tilde_detail(m, c, k, rho, m1, m0, settings)[0].value
+    if m1 + m0 == m:
+        return p_bar(m, c, rho, None, m1, m0, settings)
+    rho_lower = 0.0 if m1 >= m - k + 1 else 1.0 / rho
+    traces, _ = _optimize_gamma_branches(
+        m, c, rho, [(m1, m0, rho_lower)], settings or DEFAULT_SETTINGS, None
+    )
+    return traces[0].value
 
 
 def _branch_order(m: int, k: int) -> list[tuple[int, int]]:
@@ -343,18 +275,6 @@ def _branch_order(m: int, k: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _rows_at(
-    m: int, rho: float, branches: list, idx, gammas: np.ndarray
-) -> np.ndarray:
-    """Stack one boundary row per (branch index, free-ratio value) pair."""
-    return np.concatenate(
-        [
-            _boundary_gammas(m, rho, branches[i][0], branches[i][1], np.array([g]))
-            for i, g in zip(idx, gammas)
-        ]
-    )
-
-
 def _optimize_gamma_branches(
     m: int,
     c: float,
@@ -365,27 +285,29 @@ def _optimize_gamma_branches(
 ) -> tuple[list[BranchTrace], BranchTrace | None]:
     """Maximize p_bar over gamma for several (m1, m0) branches in lock-step.
 
-    Follows the same grid-then-golden schedule as `_p_tilde_detail` but
-    evaluates all branches' probe points in shared vectorized calls.
-    Returns (traces, early): either every branch finished (`early` is None)
-    or the grid phase already certified a value above ``stop_above`` and
-    `early` carries that single confirmed trace (traces is then empty and
-    nothing should be memoized).
+    Each branch runs a log-spaced grid on the probe rule, then golden-section
+    refinement around the grid argmax, then one evaluation of the best gamma
+    at the caller's settings; every branch's probe points share one
+    vectorized kernel call per step.  Returns (traces, early): either every
+    branch finished (`early` is None) or the grid phase already certified a
+    value above ``stop_above`` and `early` carries that single confirmed
+    trace (traces is then empty and nothing should be memoized).
     """
     n = len(branches)
+    m1s, m0s, _ = (np.array(col) for col in zip(*branches))
+
+    def rows(idx, gammas):
+        return _boundary_rows(m, rho, m1s[idx], m0s[idx], gammas)
+
     cand_sets = [_gamma_candidates(rho, rl, m1) for (m1, m0, rl) in branches]
-    offsets = np.cumsum([0] + [cs.size for cs in cand_sets])
-    rows = np.concatenate(
-        [
-            _boundary_gammas(m, rho, m1, m0, cs)
-            for (m1, m0, _), cs in zip(branches, cand_sets)
-        ]
+    n_evals = np.array([cs.size for cs in cand_sets])
+    offsets = np.concatenate([[0], np.cumsum(n_evals)])
+    grid_vals = _tails_for_gamma_rows(
+        rows(np.repeat(np.arange(n), n_evals), np.concatenate(cand_sets)), c, _PROBE_SETTINGS
     )
-    grid_vals = _tails_for_gamma_rows(rows, c, _PROBE_SETTINGS)
 
     best_gamma = np.empty(n)
     best_val = np.empty(n)
-    n_evals = np.array([cs.size for cs in cand_sets])
     a = np.empty(n)
     b = np.empty(n)
     for i, cs in enumerate(cand_sets):
@@ -400,13 +322,7 @@ def _optimize_gamma_branches(
         i = int(np.argmax(best_val))
         if best_val[i] > stop_above:
             m1, m0, rl = branches[i]
-            confirmed = float(
-                _tails_for_gamma_rows(
-                    _boundary_gammas(m, rho, m1, m0, best_gamma[i : i + 1]),
-                    c,
-                    settings,
-                )[0]
-            )
+            confirmed = float(_tails_for_gamma_rows(rows(i, best_gamma[i]), c, settings)[0])
             if confirmed > stop_above:
                 early = BranchTrace(
                     m1, m0, rl, float(best_gamma[i]), confirmed, int(n_evals[i]) + 1
@@ -424,9 +340,7 @@ def _optimize_gamma_branches(
     if start.size:
         pts = np.concatenate([x1[start], x2[start]])
         vals = _tails_for_gamma_rows(
-            _rows_at(m, rho, branches, np.concatenate([start, start]), pts),
-            c,
-            _PROBE_SETTINGS,
+            rows(np.concatenate([start, start]), pts), c, _PROBE_SETTINGS
         )
         f1[start] = vals[: start.size]
         f2[start] = vals[start.size :]
@@ -447,11 +361,7 @@ def _optimize_gamma_branches(
         f1[ir] = f2[ir]
         x2[ir] = a[ir] + _INVPHI * (b[ir] - a[ir])
         pts = np.concatenate([x1[il], x2[ir]])
-        vals = _tails_for_gamma_rows(
-            _rows_at(m, rho, branches, np.concatenate([il, ir]), pts),
-            c,
-            _PROBE_SETTINGS,
-        )
+        vals = _tails_for_gamma_rows(rows(np.concatenate([il, ir]), pts), c, _PROBE_SETTINGS)
         f1[il] = vals[: il.size]
         f2[ir] = vals[il.size :]
         n_evals[ia] += 1
@@ -460,9 +370,7 @@ def _optimize_gamma_branches(
             best_val[upd] = fv[upd]
             best_gamma[upd] = xv[upd]
 
-    final_vals = _tails_for_gamma_rows(
-        _rows_at(m, rho, branches, range(n), best_gamma), c, settings
-    )
+    final_vals = _tails_for_gamma_rows(rows(np.arange(n), best_gamma), c, settings)
     n_evals += 1
     traces = [
         BranchTrace(m1, m0, rl, float(g), float(v), int(ne))
@@ -567,13 +475,8 @@ def p_max(
     # fixed configurations (no free ratio) are single evaluations; they also
     # contain the usual maximizer, so they run first to seed early exits
     if pending_fixed:
-        rows = np.concatenate(
-            [
-                _boundary_gammas(m, rho, m1, m0, np.array([0.0]))
-                for m1, m0, _ in pending_fixed
-            ]
-        )
-        vals = _tails_for_gamma_rows(rows, c, settings)
+        m1s, m0s, _ = zip(*pending_fixed)
+        vals = _tails_for_gamma_rows(_boundary_rows(m, rho, m1s, m0s, 0.0), c, settings)
         exceeded = absorb(
             [
                 BranchTrace(m1, m0, rl, None, float(v), 1)

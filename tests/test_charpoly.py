@@ -138,3 +138,35 @@ def test_lower_bound_hand_quadratic():
     c = math.sqrt(3.0 / 4.0)
     cfg = GammaConfig(np.array([0.5, 1.0, 5.0, 5.0]), c)
     assert theta_lower_bound(cfg, 2) == pytest.approx(expected, rel=1e-12)
+
+
+def test_root_extreme_range_sweep():
+    # ratios over 1e-6..1e5 with exact zeros, m up to 200, c down to
+    # m^{-1/2}(1 + 1e-6): the computed root must sit where the monotone
+    # constraint changes sign, within 1e-12 relative.  Where the constraint
+    # is so flat that its float rounding (a few eps) moves the root by more
+    # than that, the window widens to the width that rounding allows.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(2025)
+    for _ in range(600):
+        m = int(rng.choice([2, 3, 5, 10, 20, 50, 100, 200]))
+        gammas = 10.0 ** rng.uniform(-6.0, 5.0, size=m)
+        gammas[rng.random(m) < 0.25] = 0.0
+        if not np.any(gammas > 0):
+            gammas[0] = 10.0 ** rng.uniform(-6.0, 5.0)
+        c = m**-0.5 * (1.0 + 10.0 ** rng.uniform(-6.0, 1.0))
+        cfg = GammaConfig(gammas, c)
+        t = negative_root(cfg).abs_value
+        w = 1.0 + cfg.tau * cfg.x
+        f = lambda s: float(np.sum(w / (cfg.x + s))) - 1.0
+        slope = t * float(np.sum(w / (cfg.x + t) ** 2))  # -t * f'(t)
+        r = max(1e-12, 16.0 * eps / slope)
+        assert f(t * (1.0 - r)) >= 0.0 >= f(t * (1.0 + r))
+        # g's products stay finite for m <= 20; a bracket narrower than
+        # 1e-6 * m is finer than the float grid near t can resolve to the
+        # bound's 1e-9 of g's scale over the bracket
+        width = float(np.max(gammas)) ** 2
+        if m <= 20 and width >= 1e-6 * m:
+            thetas = -np.linspace(m, m + width + 1e-8, 9)
+            scale = max(abs(g_value(cfg, th)) for th in thetas)
+            assert abs(g_value(cfg, -t)) <= 1e-9 * max(scale, 1.0)

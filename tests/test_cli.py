@@ -444,13 +444,21 @@ def test_f6_formatting():
     assert _f6(0.05) == 0.05
 
 
-def test_workers_env_cap(monkeypatch):
+def test_workers_env_cap(monkeypatch, capsys):
     from argparse import Namespace
 
     from stc.cli import _workers
 
     monkeypatch.setenv("STC_THREADS", "2")
     assert _workers(Namespace(workers=8)) == 2
+    monkeypatch.setenv("STC_THREADS", "abc")
+    with pytest.raises(InvalidParameterError, match="STC_THREADS"):
+        _workers(Namespace(workers=8))
+    code, _, err = _run(
+        capsys, ["table", "--alphas", "0.05", "--ms", "5", "--rhos", "1", "--workers", "2"]
+    )
+    assert code == 2
+    assert err.startswith("error: STC_THREADS")
     monkeypatch.delenv("STC_THREADS")
     assert _workers(Namespace(workers=8)) == 8
     assert _workers(Namespace()) == 1

@@ -224,3 +224,14 @@ def test_table_cell_error_capture(monkeypatch):
     assert "synthetic failure" in cell.error
     assert "ERROR" in table.to_csv()
     assert json.loads(table.to_json())[0]["error"].startswith("NoValidCriticalValueError")
+
+
+def test_table_lets_programming_errors_through(monkeypatch):
+    import stc.critical_values as cv_mod
+
+    def broken(*args, **kwargs):
+        raise TypeError("synthetic programming error")
+
+    monkeypatch.setattr(cv_mod, "critical_value", broken)
+    with pytest.raises(TypeError, match="synthetic programming error"):
+        cv_mod.generate_table([0.05], [5], [1.0], k=1)

@@ -239,3 +239,21 @@ def test_panel_validation():
 def test_rank_deficiency_error_type():
     # RankDeficiencyError is a DesignViolationError specialization
     assert issubclass(RankDeficiencyError, DesignViolationError)
+
+
+def test_triple_diff_empty_cell_is_rank_deficient():
+    # cluster 'b' keeps both c values and both periods but has no (c=1, pre)
+    # observation, so the interaction is not identified
+    panel, _ = _triple_panel(extra_noise=0.3)
+    keep = ~((panel.cluster == "b") & (panel.c_indicator == 1) & (panel.time < 2))
+    broken = PanelData(
+        cluster=panel.cluster[keep],
+        outcome=panel.outcome[keep],
+        treated_cluster="t",
+        time=panel.time[keep],
+        post_start=2,
+        unit=panel.unit[keep],
+        c_indicator=panel.c_indicator[keep],
+    )
+    with pytest.raises(RankDeficiencyError, match="'b'"):
+        extract(broken, DesignKind.TRIPLE_DIFF)

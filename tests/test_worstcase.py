@@ -7,12 +7,13 @@ import pytest
 from stc.charpoly import GammaConfig
 from stc.distributions import t_quantile, t_two_sided_tail
 from stc.errors import InvalidParameterError
-from stc.rejection import rejection_probability
+from stc.rejection import DEFAULT_SETTINGS, rejection_probability
 from stc.simulate import empirical_rejection_rate
 from stc.worstcase import (
     Boundary,
     HeterogeneitySpec,
     ZeroTreated,
+    _optimize_gamma_branches,
     p_bar,
     p_max,
     p_max_all_k,
@@ -209,3 +210,21 @@ def test_branch_budget_respected():
         res = p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=1.7))
         n_free = sum(1 for tr in res.diagnostics.branches if tr.gamma is not None)
         assert n_free <= k * (2 * m + 1 - k) // 2
+
+
+def test_p_max_branches_match_single_branch_p_tilde():
+    # p_max optimizes its free-ratio branches in lock-step groups; each
+    # branch's trace must equal the branch optimized alone (p_tilde), with
+    # the same number of kernel evaluations
+    for m, k, rho, c in ((6, 2, 2.0, 2.5), (8, 3, 0.7, 3.0), (11, 2, 1.5, 2.2)):
+        res = p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho))
+        assert res.diagnostics.complete
+        free = [tr for tr in res.diagnostics.branches if tr.gamma is not None]
+        assert len(free) >= 2
+        for tr in free:
+            assert p_tilde(m, c, k, rho, tr.m1, tr.m0) == pytest.approx(tr.value, abs=1e-12)
+            (alone,), _ = _optimize_gamma_branches(
+                m, c, rho, [(tr.m1, tr.m0, tr.rho_lower)], DEFAULT_SETTINGS, None
+            )
+            assert alone.n_evals == tr.n_evals
+            assert alone.gamma == tr.gamma
