@@ -17,9 +17,11 @@ monotone constraint
     tau = (kappa + 1) / (m*kappa),
 
 whose left side is strictly decreasing in t, so the root is unique and
-bracketed by [m, m + max_i gamma_i^2].  One batched solver, `_roots_batch`,
-solves it for every row of a batch; the tail kernel calls it directly and
-`negative_root` calls it on a one-row batch to certify a single root.
+bracketed by [m, m + max_i gamma_i^2].  Over distinct values x_j with
+counts n_j it reads sum_j n_j (1 + tau*x_j)/(x_j + t) = 1.  One batched
+solver, `_roots_batch`, solves it for every row of a batch; the tail kernel
+calls it directly and `negative_root` calls it on a one-row batch (every
+count 1) to certify a single root.
 """
 from __future__ import annotations
 
@@ -134,32 +136,34 @@ def g_value(cfg: GammaConfig, theta: float) -> float:
     return -(m + th) * full + (cfg.kappa + (cfg.kappa + 1.0) / m * th) * s
 
 
-def _root_bracket(x: np.ndarray, tau: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _root_bracket(x: np.ndarray, n: np.ndarray, tau: float, m: int) -> tuple[np.ndarray, ...]:
     """Certified bracket [m, m + max gamma^2 + eps] for each row of x.
 
-    max gamma^2 = max x / kappa, and kappa = 1/(m*tau - 1).
+    max gamma^2 = max x / kappa over groups with n_j > 0; kappa = 1/(m*tau - 1).
     """
     kappa = 1.0 / (m * tau - 1.0)
-    top = np.max(x, axis=1) / kappa
+    top = np.max(np.where(n > 0, x, 0.0), axis=1) / kappa
     return np.full(x.shape[0], float(m)), float(m) + top + 1e-8 * (1.0 + top)
 
 
 def _constraint_minus_one(t: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w_i/(x_i + t) - 1 per row, w = 1 + tau*x; strictly decreasing in t > 0."""
+    """sum_j w_j/(x_j + t) - 1 per row, w = n*(1 + tau*x); strictly decreasing in t > 0."""
     return np.sum(w / (x + t[:, None]), axis=1) - 1.0
 
 
-def _roots_batch(x: np.ndarray, tau: float, m: int) -> np.ndarray:
-    """Vectorized |theta_{m+1}| for rows of x: bisection then Newton on the
-    monotone constraint sum_i (1 + tau*x_i)/(x_i + t) = 1.
+def _roots_batch(x: np.ndarray, n: np.ndarray, tau: float, m: int) -> np.ndarray:
+    """Vectorized |theta_{m+1}| for rows of grouped values x with counts n:
+    bisection then Newton on sum_j n_j (1 + tau*x_j)/(x_j + t) = 1.
 
     The constraint's left side minus one is strictly decreasing and convex
     in t > 0, so Newton iterates started on the below-root side of the
-    certified bracket converge monotonically upward; four steps after a
-    coarse bisection reach machine precision.
+    certified bracket converge monotonically upward.  Four steps after a
+    coarse bisection resolve t to within the constraint's float rounding,
+    a relative r = 16 eps / (t |f'(t)|): above machine precision where c is
+    near m^{-1/2} and the ratios span many orders of magnitude.
     """
-    lo, hi = _root_bracket(x, tau, m)
-    w = 1.0 + tau * x
+    lo, hi = _root_bracket(x, n, tau, m)
+    w = n * (1.0 + tau * x)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         take_lo = _constraint_minus_one(mid, x, w) > 0.0
@@ -182,15 +186,16 @@ def negative_root(cfg: GammaConfig) -> NegativeRoot:
             over [m, m + max gamma^2 + eps] (impossible for valid input).
     """
     x = cfg.x[None, :]
+    n = np.ones_like(x)
     w = 1.0 + cfg.tau * x
-    lo, hi = _root_bracket(x, cfg.tau, cfg.m)
+    lo, hi = _root_bracket(x, n, cfg.tau, cfg.m)
     f_lo = float(_constraint_minus_one(lo, x, w)[0])
     f_hi = float(_constraint_minus_one(hi, x, w)[0])
     if f_lo < 0.0 or f_hi > 0.0:
         raise BracketSignError(
             f"no sign change over certified bracket [{lo[0]}, {hi[0]}]: f(lo)={f_lo}, f(hi)={f_hi}"
         )
-    t = _roots_batch(x, cfg.tau, cfg.m)
+    t = _roots_batch(x, n, cfg.tau, cfg.m)
     return NegativeRoot(
         abs_value=float(t[0]),
         bracket_low=float(lo[0]),

@@ -10,8 +10,12 @@ PQ is the fused sum-of-products
 
     PQ(x, s) = sum_i [(1 + tau*x_i) / (x_i + t)] * prod_{j != i} (x_j + s).
 
+A configuration is carried as distinct values x_j with counts n_j
+(sum n_j = m; a group with n_j = 0 is inert), and equal ratios give equal
+factors, so PQ = Q * sum_j n_j a_j/(x_j + s) with Q = prod_j (x_j + s)^n_j
+and a_j = (1 + tau*x_j)/(x_j + t): the work per node is one term per group.
 Fusing is mandatory: the unfused factors P and Q separately tend to
-infinity and zero when some x_i = 0, while the fused form stays finite and
+infinity and zero when some x_j = 0, while the fused form stays finite and
 strictly positive on (0, t).  The endpoint singularity 1/sqrt(t - s) is
 removed exactly by the substitution s = t*sin(u)^2:
 
@@ -20,10 +24,9 @@ removed exactly by the substitution s = t*sin(u)^2:
 after which the integrand is smooth (near u = 0 it behaves like an integer
 power of sin(u)) and fixed-panel Gauss-Legendre converges spectrally.
 
-The fused product is accumulated in log space in all regimes: the grid and
-refinement searches upstream push x_i as high as ~1e10 at m = 50, where
-plain products overflow, and the log-space path costs the same code for
-every m.
+Q is accumulated in log space in all regimes: the grid and refinement
+searches upstream push x_j as high as ~1e10 at m = 50, where plain products
+overflow, and the log-space path costs the same code for every m.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .errors import InvalidParameterError, NumericalFailureError
 
 __all__ = ["QuadratureSettings", "rejection_probability"]
 
-# Chunk budget for the (batch, nodes, m) work arrays, in elements.
+# Chunk budget for the (batch, nodes, groups) work arrays, in elements.
 _CHUNK_ELEMENTS = 4_000_000
 
 
@@ -82,27 +85,28 @@ def _nodes_weights(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.nd
 
 
 def _tail_quadrature(
-    x: np.ndarray, t: np.ndarray, tau: float, m: int, settings: QuadratureSettings
+    x: np.ndarray, n: np.ndarray, t: np.ndarray, tau: float, m: int, settings: QuadratureSettings
 ) -> np.ndarray:
-    """Evaluate the substituted integral for rows of x with endpoints t."""
+    """Evaluate the substituted integral for grouped rows (x, n) with endpoints t."""
     u, wu = _nodes_weights(settings.panels, settings.nodes_per_panel)
     sin_u = np.sin(u)
     sin2_u = sin_u * sin_u
     n_nodes = u.size
     out = np.empty(x.shape[0])
-    chunk = max(1, _CHUNK_ELEMENTS // (n_nodes * m))
+    chunk = max(1, _CHUNK_ELEMENTS // (n_nodes * x.shape[1]))
     for start in range(0, x.shape[0], chunk):
         xb = x[start : start + chunk]
+        nb = n[start : start + chunk]
         tb = t[start : start + chunk]
         s = tb[:, None] * sin2_u[None, :]                      # (B, N)
-        xs = xb[:, None, :] + s[:, :, None]                    # (B, N, m)
-        sum_log = np.sum(np.log(xs), axis=2)                   # (B, N): log Q
-        a = (1.0 + tau * xb) / (xb + tb[:, None])              # (B, m)
-        # PQ = Q * sum_i a_i/(x_i + s): the ratio sum stays well inside
-        # float range (each term is between ~(x_max + t)^-2 and ~1/(t*s)),
+        xs = xb[:, None, :] + s[:, :, None]                    # (B, N, D)
+        log_q = np.sum(nb[:, None, :] * np.log(xs), axis=2)    # (B, N)
+        a = nb * ((1.0 + tau * xb) / (xb + tb[:, None]))       # (B, D): n_j a_j
+        # PQ = Q * sum_j n_j a_j/(x_j + s): the ratio sum stays well inside
+        # float range (each term is between ~(x_max + t)^-2 and ~m/(t*s)),
         # so only Q itself needs log-space accumulation.
         ratio_sum = np.sum(a[:, None, :] / xs, axis=2)         # (B, N)
-        log_pq = sum_log + np.log(ratio_sum)
+        log_pq = log_q + np.log(ratio_sum)
         log_u_term = (0.5 * m - 1.0) * np.log(s) - 0.5 * log_pq
         integrand = 2.0 * np.sqrt(tb)[:, None] * sin_u[None, :] * np.exp(log_u_term)
         # a row-wise sum, not a BLAS matrix-vector product: a row's value must
@@ -112,33 +116,37 @@ def _tail_quadrature(
 
 
 def _tails_for_gamma_rows(
-    gammas: np.ndarray, c: float, settings: QuadratureSettings | None = None
+    values: np.ndarray, c: float, settings: QuadratureSettings | None = None,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rejection probabilities for a batch of ratio rows at a common c.
+    """Rejection probabilities for a batch of grouped ratio rows at a common c.
 
+    Row i holds the distinct ratios values[i] with multiplicities counts[i];
+    ``counts=None`` means every count is 1 (each row lists all m ratios).
     The one entry to the tail kernel, for the worst-case optimizers and for
-    `rejection_probability` alike; each row must be a valid (not all-zero)
-    nonnegative configuration.
+    `rejection_probability` alike; every row must describe a valid (not
+    all-zero) nonnegative configuration of the same m = sum of its counts.
     """
     settings = settings or DEFAULT_SETTINGS
-    g = np.asarray(gammas, dtype=np.float64)
+    g = np.asarray(values, dtype=np.float64)
     if g.ndim != 2:
         raise InvalidParameterError(f"expected a 2-d batch of ratio rows, got shape {g.shape}")
-    m = g.shape[1]
+    n = np.ones_like(g) if counts is None else np.asarray(counts, dtype=np.float64)
+    row_m = np.sum(n, axis=1)
+    m = int(row_m[0])
+    if np.any(row_m != m):
+        raise InvalidParameterError(f"rows of one batch must share m, got row counts {row_m}")
     kappa = m * c * c / (m - 1)
     tau = (kappa + 1.0) / (m * kappa)
     x = kappa * g * g
-    t = _roots_batch(x, tau, m)
-    vals = _tail_quadrature(x, t, tau, m, settings)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmax(~np.isfinite(vals)))
+    t = _roots_batch(x, n, tau, m)
+    vals = _tail_quadrature(x, n, t, tau, m, settings)
+    bad = ~np.isfinite(vals) | (vals > 1.0 + 1e-6) | (vals < -1e-6)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NumericalFailureError(
-            f"non-finite tail integral: m={m}, c={c}, gammas={g[bad]!r}, t={t[bad]!r}"
-        )
-    if np.any(vals > 1.0 + 1e-6) or np.any(vals < -1e-6):
-        bad = int(np.argmax(np.maximum(vals - 1.0, -vals)))
-        raise NumericalFailureError(
-            f"tail integral escaped [0,1]: value={vals[bad]!r}, m={m}, c={c}, gammas={g[bad]!r}"
+            f"tail integral {vals[i]!r} is not finite in [0, 1]: m={m}, c={c}, "
+            f"values={g[i]!r}, counts={n[i]!r}, t={t[i]!r}"
         )
     return np.clip(vals, 0.0, 1.0)
 

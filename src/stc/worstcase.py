@@ -15,7 +15,9 @@ two-sided t-test at threshold c is attained either
 one-dimensional maximization (log-spaced grid, then golden-section
 refinement); at most k*(2m+1-k)/2 of them are needed for one (k, rho), and
 a memo keyed by (m1, m0, gamma-domain) lets an all-k sweep share work.
-One optimizer, `_optimize_gamma_branches`, runs that search for a group of
+Boundary rows reach the tail kernel as three (value, count) groups
+(`_boundary_rows`), so a kernel evaluation costs the same at every m.  One
+optimizer, `_optimize_gamma_branches`, runs that search for a group of
 branches in lock-step, so that each golden-section iteration costs one
 vectorized tail evaluation for the whole group; `p_max` calls it on growing
 groups and `p_tilde` on a single branch.  The tail kernel's values do not
@@ -167,17 +169,21 @@ def p_zero_treated(m: int, c: float) -> float:
     return _p_zero_treated_detail(m, c)[0]
 
 
-def _boundary_rows(m: int, rho: float, m1, m0, gamma) -> np.ndarray:
-    """Boundary ratio rows, one per (m1, m0, gamma) triple (broadcast).
+def _boundary_rows(m: int, rho: float, m1, m0, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Grouped rows (values, counts), one per (m1, m0, gamma) triple (broadcast).
 
-    Row i has m1[i] ratios at rho^{-1}, then m0[i] zeros, then the free
-    ratio gamma[i] in its remaining m - m1[i] - m0[i] columns.
+    Row i has values [rho^{-1}, 0, gamma[i]] with counts
+    [m1[i], m0[i], m - m1[i] - m0[i]].  A free ratio equal to a pinned value
+    is merged into that group (free count 0), so that equal ratio vectors
+    give bit-identical rows and ties fall to the first branch in order.
     """
     m1, m0, gamma = np.broadcast_arrays(*map(np.atleast_1d, (m1, m0, gamma)))
-    col = np.arange(m)
-    rows = np.where(col < (m1 + m0)[:, None], 0.0, gamma[:, None])
-    rows[col < m1[:, None]] = 1.0 / rho
-    return rows
+    values = np.stack(np.broadcast_arrays(1.0 / rho, 0.0, gamma), axis=1).astype(np.float64)
+    counts = np.stack([m1, m0, m - m1 - m0], axis=1).astype(np.float64)
+    merge = values[:, :2] == values[:, 2:]  # at most one pinned group per row
+    counts[:, :2] += merge * counts[:, 2:]
+    counts[merge.any(axis=1), 2] = 0.0
+    return values, counts
 
 
 def _check_branch(m: int, rho: float, m1: int, m0: int) -> None:
@@ -217,7 +223,8 @@ def p_bar(
         if m1 == 0:
             raise InvalidParameterError("all-zero ratio configuration (m1=0, m0=m)")
         gamma = 0.0  # no remaining columns exist; value unused
-    return float(_tails_for_gamma_rows(_boundary_rows(m, rho, m1, m0, gamma), c, settings)[0])
+    values, counts = _boundary_rows(m, rho, m1, m0, gamma)
+    return float(_tails_for_gamma_rows(values, c, settings, counts=counts)[0])
 
 
 def _gamma_candidates(rho: float, rho_lower: float, m1: int) -> np.ndarray:
@@ -296,14 +303,15 @@ def _optimize_gamma_branches(
     n = len(branches)
     m1s, m0s, _ = (np.array(col) for col in zip(*branches))
 
-    def rows(idx, gammas):
-        return _boundary_rows(m, rho, m1s[idx], m0s[idx], gammas)
+    def tails(idx, gammas, rule):
+        values, counts = _boundary_rows(m, rho, m1s[idx], m0s[idx], gammas)
+        return _tails_for_gamma_rows(values, c, rule, counts=counts)
 
     cand_sets = [_gamma_candidates(rho, rl, m1) for (m1, m0, rl) in branches]
     n_evals = np.array([cs.size for cs in cand_sets])
     offsets = np.concatenate([[0], np.cumsum(n_evals)])
-    grid_vals = _tails_for_gamma_rows(
-        rows(np.repeat(np.arange(n), n_evals), np.concatenate(cand_sets)), c, _PROBE_SETTINGS
+    grid_vals = tails(
+        np.repeat(np.arange(n), n_evals), np.concatenate(cand_sets), _PROBE_SETTINGS
     )
 
     best_gamma = np.empty(n)
@@ -322,7 +330,7 @@ def _optimize_gamma_branches(
         i = int(np.argmax(best_val))
         if best_val[i] > stop_above:
             m1, m0, rl = branches[i]
-            confirmed = float(_tails_for_gamma_rows(rows(i, best_gamma[i]), c, settings)[0])
+            confirmed = float(tails(i, best_gamma[i], settings)[0])
             if confirmed > stop_above:
                 early = BranchTrace(
                     m1, m0, rl, float(best_gamma[i]), confirmed, int(n_evals[i]) + 1
@@ -339,9 +347,7 @@ def _optimize_gamma_branches(
     start = np.nonzero(has_bracket)[0]
     if start.size:
         pts = np.concatenate([x1[start], x2[start]])
-        vals = _tails_for_gamma_rows(
-            rows(np.concatenate([start, start]), pts), c, _PROBE_SETTINGS
-        )
+        vals = tails(np.concatenate([start, start]), pts, _PROBE_SETTINGS)
         f1[start] = vals[: start.size]
         f2[start] = vals[start.size :]
         n_evals[start] += 2
@@ -361,7 +367,7 @@ def _optimize_gamma_branches(
         f1[ir] = f2[ir]
         x2[ir] = a[ir] + _INVPHI * (b[ir] - a[ir])
         pts = np.concatenate([x1[il], x2[ir]])
-        vals = _tails_for_gamma_rows(rows(np.concatenate([il, ir]), pts), c, _PROBE_SETTINGS)
+        vals = tails(np.concatenate([il, ir]), pts, _PROBE_SETTINGS)
         f1[il] = vals[: il.size]
         f2[ir] = vals[il.size :]
         n_evals[ia] += 1
@@ -370,7 +376,7 @@ def _optimize_gamma_branches(
             best_val[upd] = fv[upd]
             best_gamma[upd] = xv[upd]
 
-    final_vals = _tails_for_gamma_rows(rows(np.arange(n), best_gamma), c, settings)
+    final_vals = tails(np.arange(n), best_gamma, settings)
     n_evals += 1
     traces = [
         BranchTrace(m1, m0, rl, float(g), float(v), int(ne))
@@ -476,7 +482,8 @@ def p_max(
     # contain the usual maximizer, so they run first to seed early exits
     if pending_fixed:
         m1s, m0s, _ = zip(*pending_fixed)
-        vals = _tails_for_gamma_rows(_boundary_rows(m, rho, m1s, m0s, 0.0), c, settings)
+        values, counts = _boundary_rows(m, rho, m1s, m0s, 0.0)
+        vals = _tails_for_gamma_rows(values, c, settings, counts=counts)
         exceeded = absorb(
             [
                 BranchTrace(m1, m0, rl, None, float(v), 1)

@@ -6,6 +6,7 @@ import pytest
 
 from stc.charpoly import GammaConfig, g_value, negative_root, theta_lower_bound
 from stc.errors import InvalidParameterError
+from stc.rejection import DEFAULT_SETTINGS, _tail_quadrature
 
 RNG_SWEEP = 1000
 
@@ -140,27 +141,40 @@ def test_lower_bound_hand_quadratic():
     assert theta_lower_bound(cfg, 2) == pytest.approx(expected, rel=1e-12)
 
 
-def test_root_extreme_range_sweep():
+def _extreme_config(rng):
     # ratios over 1e-6..1e5 with exact zeros, m up to 200, c down to
-    # m^{-1/2}(1 + 1e-6): the computed root must sit where the monotone
-    # constraint changes sign, within 1e-12 relative.  Where the constraint
-    # is so flat that its float rounding (a few eps) moves the root by more
-    # than that, the window widens to the width that rounding allows.
-    eps = np.finfo(float).eps
+    # m^{-1/2}(1 + 1e-6)
+    m = int(rng.choice([2, 3, 5, 10, 20, 50, 100, 200]))
+    gammas = 10.0 ** rng.uniform(-6.0, 5.0, size=m)
+    gammas[rng.random(m) < 0.25] = 0.0
+    if not np.any(gammas > 0):
+        gammas[0] = 10.0 ** rng.uniform(-6.0, 5.0)
+    c = m**-0.5 * (1.0 + 10.0 ** rng.uniform(-6.0, 1.0))
+    return GammaConfig(gammas, c)
+
+
+def _root_window(cfg, t):
+    # relative width 16 eps / (t |f'(t)|) that the constraint's float
+    # rounding leaves the root, floored at 1e-12
+    w = 1.0 + cfg.tau * cfg.x
+    slope = t * float(np.sum(w / (cfg.x + t) ** 2))  # -t * f'(t)
+    return max(1e-12, 16.0 * np.finfo(float).eps / slope)
+
+
+def test_root_extreme_range_sweep():
+    # on extreme configurations the computed root must sit where the
+    # monotone constraint changes sign, within 1e-12 relative.  Where the
+    # constraint is so flat that its float rounding (a few eps) moves the
+    # root by more than that, the window widens to the width that rounding
+    # allows.
     rng = np.random.default_rng(2025)
     for _ in range(600):
-        m = int(rng.choice([2, 3, 5, 10, 20, 50, 100, 200]))
-        gammas = 10.0 ** rng.uniform(-6.0, 5.0, size=m)
-        gammas[rng.random(m) < 0.25] = 0.0
-        if not np.any(gammas > 0):
-            gammas[0] = 10.0 ** rng.uniform(-6.0, 5.0)
-        c = m**-0.5 * (1.0 + 10.0 ** rng.uniform(-6.0, 1.0))
-        cfg = GammaConfig(gammas, c)
+        cfg = _extreme_config(rng)
+        m, gammas = cfg.m, cfg.gammas
         t = negative_root(cfg).abs_value
         w = 1.0 + cfg.tau * cfg.x
         f = lambda s: float(np.sum(w / (cfg.x + s))) - 1.0
-        slope = t * float(np.sum(w / (cfg.x + t) ** 2))  # -t * f'(t)
-        r = max(1e-12, 16.0 * eps / slope)
+        r = _root_window(cfg, t)
         assert f(t * (1.0 - r)) >= 0.0 >= f(t * (1.0 + r))
         # g's products stay finite for m <= 20; a bracket narrower than
         # 1e-6 * m is finer than the float grid near t can resolve to the
@@ -170,3 +184,23 @@ def test_root_extreme_range_sweep():
             thetas = -np.linspace(m, m + width + 1e-8, 9)
             scale = max(abs(g_value(cfg, th)) for th in thetas)
             assert abs(g_value(cfg, -t)) <= 1e-9 * max(scale, 1.0)
+
+
+def test_flat_root_uncertainty_barely_moves_the_tail():
+    # where the root is only resolved to the window r > 1e-12, the tail
+    # integral must move by no more than the quadrature's own 1e-9 bound
+    # (test_panel_doubling_is_converged) between t(1 - r) and t(1 + r)
+    rng = np.random.default_rng(77)
+    flat = 0
+    for _ in range(3000):
+        cfg = _extreme_config(rng)
+        t = negative_root(cfg).abs_value
+        r = _root_window(cfg, t)
+        if r <= 1e-12:
+            continue
+        flat += 1
+        ends = np.array([t * (1.0 - r), t * (1.0 + r)])
+        x = np.broadcast_to(cfg.x, (2, cfg.m))
+        tails = _tail_quadrature(x, np.ones_like(x), ends, cfg.tau, cfg.m, DEFAULT_SETTINGS)
+        assert abs(tails[1] - tails[0]) <= 1e-9
+    assert flat >= 50

@@ -2,7 +2,11 @@
 import importlib
 import pkgutil
 
+import numpy as np
+
 import stc
+import stc.rejection
+import stc.worstcase
 
 
 def test_package_exports_resolve():
@@ -24,3 +28,28 @@ def test_core_surface_is_exported():
     for name in ("negative_root", "NegativeRoot", "BracketSignError", "rejection_probability"):
         assert name in stc.__all__
     assert "p_tilde" in importlib.import_module("stc.worstcase").__all__
+
+
+def test_worst_case_kernel_calls_go_through_the_module_seam(monkeypatch):
+    # tracers wrap stc.worstcase._tails_for_gamma_rows from outside the
+    # package: every tail evaluation of a p_max must pass through that name,
+    # with a 2-d row batch first and the quadrature settings third
+    seam, quadrature = stc.worstcase._tails_for_gamma_rows, stc.rejection._tail_quadrature
+    seen, evaluations = [], []
+
+    def record(*args, **kwargs):
+        seen.append(args)
+        return seam(*args, **kwargs)
+
+    def count(*args, **kwargs):
+        evaluations.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(stc.worstcase, "_tails_for_gamma_rows", record)
+    monkeypatch.setattr(stc.rejection, "_tail_quadrature", count)
+    res = stc.worstcase.p_max(6, 2.5, stc.HeterogeneitySpec(m=6, k=2, rho=1.0))
+    assert res.diagnostics.complete
+    assert len(seen) == len(evaluations) > 1
+    for args in seen:
+        assert np.ndim(args[0]) == 2
+        assert isinstance(args[2], stc.QuadratureSettings)

@@ -6,12 +6,15 @@ import pytest
 
 from stc.distributions import t_two_sided_tail
 from stc.charpoly import GammaConfig
+from stc.errors import InvalidParameterError
 from stc.rejection import (
+    DEFAULT_SETTINGS,
     QuadratureSettings,
     _tails_for_gamma_rows,
     rejection_probability,
 )
 from stc.simulate import empirical_rejection_rate
+from stc.worstcase import _PROBE_SETTINGS, _boundary_rows
 
 
 def _equal_ratio_exact(m: int, gamma: float, c: float) -> float:
@@ -85,6 +88,57 @@ def test_batch_rows_match_single_calls():
     for i in range(rows.shape[0]):
         # bit-exact: a row's value must not depend on the batch around it
         assert batch[i] == rejection_probability(GammaConfig(rows[i], c))
+    # the same for grouped rows, which the lock-step golden section relies on
+    m1 = rng.integers(1, 10, size=40)
+    m0 = rng.integers(0, 10 - m1)
+    values, counts = _boundary_rows(9, 1.5, m1, m0, rng.uniform(0.0, 3.0, size=40))
+    batch = _tails_for_gamma_rows(values, c, counts=counts)
+    for i in range(values.shape[0]):
+        alone = _tails_for_gamma_rows(values[i : i + 1], c, counts=counts[i : i + 1])
+        assert batch[i] == alone[0]
+
+
+def test_zero_count_groups_are_inert():
+    # a group with count 0 must not touch the value: not the sums, and not
+    # the root bracket, whose top would otherwise jump to x = kappa * 1e10
+    values = np.array([[0.5, 0.0, 1.3], [2.0, 0.0, 0.7]])
+    counts = np.array([[2.0, 1.0, 3.0], [1.0, 0.0, 5.0]])
+    base = _tails_for_gamma_rows(values, 2.5, counts=counts)
+    pad_v, pad_n = np.full((2, 1), 1e5), np.zeros((2, 1))
+    for v, n in (
+        (np.hstack([values, pad_v]), np.hstack([counts, pad_n])),
+        (np.hstack([pad_v, values]), np.hstack([pad_n, counts])),
+    ):
+        assert np.array_equal(_tails_for_gamma_rows(v, 2.5, counts=n), base)
+
+
+def test_grouped_rows_match_expanded_rows():
+    # grouped boundary rows against the same ratio vectors written out in m
+    # columns with counts=None, on both the probe and the default rule
+    rng = np.random.default_rng(20260)
+    for m in (2, 5, 25, 200):
+        for rho in (0.2, 1.0, 2.0):
+            m1 = rng.integers(0, m + 1, size=16)
+            m0 = rng.integers(0, m - m1 + 1)
+            gamma = 10.0 ** rng.uniform(-6.0, 4.0, size=16)
+            gamma[:4] = (0.0, 1.0 / rho, 1e4, 0.0)
+            m1[3] = 0  # with gamma = 0: only zeros unless the free group is empty
+            keep = (m1 > 0) | ((gamma > 0) & (m1 + m0 < m))
+            values, counts = _boundary_rows(m, rho, m1[keep], m0[keep], gamma[keep])
+            expanded = np.array([np.repeat(v, n.astype(int)) for v, n in zip(values, counts)])
+            assert expanded.shape == (values.shape[0], m)
+            c = m**-0.5 * (1.0 + 10.0 ** rng.uniform(-2.0, 1.0))
+            for rule in (_PROBE_SETTINGS, DEFAULT_SETTINGS):
+                grouped = _tails_for_gamma_rows(values, c, rule, counts=counts)
+                flat = _tails_for_gamma_rows(expanded, c, rule)
+                assert np.max(np.abs(grouped - flat)) <= 1e-12
+
+
+def test_batch_rows_must_share_m():
+    values = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+    counts = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0]])
+    with pytest.raises(InvalidParameterError):
+        _tails_for_gamma_rows(values, 2.0, counts=counts)
 
 
 def test_extreme_ratio_magnitudes_stay_finite():

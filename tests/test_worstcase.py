@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stc.charpoly import GammaConfig
+from stc.critical_values import _closed_form_k1
 from stc.distributions import t_quantile, t_two_sided_tail
 from stc.errors import InvalidParameterError
 from stc.rejection import DEFAULT_SETTINGS, rejection_probability
@@ -137,6 +138,16 @@ def test_p_max_k1_closed_form():
         cfg = res.achieving_config
         assert isinstance(cfg, Boundary) and cfg.m0 == 0
         assert cfg.m1 == m or cfg.gamma == pytest.approx(1.0 / rho, rel=1e-4)
+
+
+def test_k1_closed_form_ties_report_the_pinned_branch():
+    # a free ratio equal to rho^{-1} is merged into the pinned group, so
+    # every branch that reaches the all-pinned vector ties bit for bit and
+    # the first branch in order, (m, 0), is reported
+    for m in (4, 10, 100):
+        c = _closed_form_k1(m, 0.05, 1.0)
+        res = p_max(m, c, HeterogeneitySpec(m=m, k=1, rho=1.0))
+        assert res.achieving_config == Boundary(m1=m, m0=0, gamma=None)
 
 
 def test_p_max_anchor_values():
