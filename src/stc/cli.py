@@ -6,15 +6,15 @@ to a file instead of stdout.
 
 Exit codes are a stable contract: 0 success, 2 usage/parameter error,
 3 method infeasibility (no valid critical value / numerical failure),
-4 data error (malformed CSV, design violations).  The STC_THREADS
-environment variable caps ``table --workers``; a non-integer value is a
-parameter error.
+4 data error (malformed or non-UTF-8 CSV, design violations, files that
+cannot be read or written).  The STC_THREADS environment variable caps
+``table --workers``; a non-integer value is a parameter error.
 
-The panel CSV schema: UTF-8, '.' decimal, header ``cluster,unit,time,
-outcome,c`` where ``unit`` and ``c`` (and ``time`` for cross-sections) may
-be omitted; lines starting with '#' are comments.  The treated cluster is
-designated by --treated, never by a column, so one schema serves every
-design.
+The panel CSV schema: UTF-8 (a leading byte-order mark is skipped), '.'
+decimal, header ``cluster,unit,time,outcome,c`` where ``unit`` and ``c``
+(and ``time`` for cross-sections) may be omitted; lines starting with '#'
+are comments.  The treated cluster is designated by --treated, never by a
+column, so one schema serves every design.
 
 JSON output round-trips byte-identically: floats are pre-rounded (6
 significant digits for diagnostics, 3 decimals for table cells), infinities
@@ -45,7 +45,6 @@ from .errors import (
     InvalidParameterError,
     NoValidCriticalValueError,
     NumericalFailureError,
-    RankDeficiencyError,
     StcError,
 )
 from .inference import Sided, confidence_interval, p_value, rho_frontier, run_test, t_statistic
@@ -75,14 +74,17 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
 
     rows: list[list[str]] = []
     numbers: list[int] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for number, record in enumerate(_csv.reader(fh), start=1):
-            if not record or (record[0].lstrip().startswith("#")):
-                continue
-            if all(not field.strip() for field in record):
-                continue
-            rows.append([field.strip() for field in record])
-            numbers.append(number)
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            for number, record in enumerate(_csv.reader(fh), start=1):
+                if not record or (record[0].lstrip().startswith("#")):
+                    continue
+                if all(not field.strip() for field in record):
+                    continue
+                rows.append([field.strip() for field in record])
+                numbers.append(number)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DataFormatError(f"{path}: no header row found")
     header, data, data_numbers = rows[0], rows[1:], numbers[1:]
@@ -616,6 +618,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# first match wins; StcError last catches residual library failures
+_EXIT_CODES = (
+    (InvalidParameterError, 2),
+    ((NoValidCriticalValueError, NumericalFailureError, BracketSignError), 3),
+    ((DataFormatError, DesignViolationError, OSError), 4),
+    (StcError, 3),
+)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -624,21 +635,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except InvalidParameterError as exc:
+    except (StcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NoValidCriticalValueError, NumericalFailureError, BracketSignError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DataFormatError, DesignViolationError, RankDeficiencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except StcError as exc:  # pragma: no cover - residual library failures
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,7 +26,6 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .distributions import normal_quantile, t_quantile, t_two_sided_tail
 from .errors import InvalidParameterError, NoValidCriticalValueError, StcError
-from .rejection import QuadratureSettings
 from .worstcase import HeterogeneitySpec, WorstCaseResult, p_max
 
 __all__ = [
@@ -161,7 +160,6 @@ def critical_value(
     m: int,
     alpha: float,
     spec: HeterogeneitySpec,
-    settings: QuadratureSettings | None = None,
 ) -> CriticalValueResult:
     """Smallest c with worst-case rejection probability <= alpha (two-sided).
 
@@ -188,30 +186,30 @@ def critical_value(
             method="ClosedFormK1",
             alpha=alpha,
             spec=spec,
-            worst_case=p_max(m, cv, spec, settings),
+            worst_case=p_max(m, cv, spec),
             iterations=0,
         )
 
     lo = 1.0 / math.sqrt(m) + 1e-6
-    if p_max(m, lo, spec, settings, stop_above=alpha).value <= alpha:
+    if p_max(m, lo, spec, stop_above=alpha).value <= alpha:
         # every admissible threshold already attains the level
         return CriticalValueResult(
             cv=lo,
             method="Optimized",
             alpha=alpha,
             spec=spec,
-            worst_case=p_max(m, lo, spec, settings),
+            worst_case=p_max(m, lo, spec),
             iterations=0,
         )
 
     guess = math.sqrt(m / (m - k + 1.0)) * rho * float(normal_quantile(1.0 - alpha / 2.0))
     hi = 2.0 * (guess + _closed_form_k1(m, alpha, max(rho, 0.0)) + 1.0)
     for _ in range(80):
-        if p_max(m, hi, spec, settings, stop_above=alpha).value <= alpha:
+        if p_max(m, hi, spec, stop_above=alpha).value <= alpha:
             break
         hi *= 2.0
     else:
-        floor = p_max(m, hi, spec, settings).value
+        floor = p_max(m, hi, spec).value
         raise NoValidCriticalValueError(
             f"worst-case rejection probability stays above alpha={alpha}"
             f" for all thresholds searched (floor ~{floor})",
@@ -221,7 +219,7 @@ def critical_value(
     iterations = 0
     while (hi - lo) > min(_CV_WIDTH, 0.99e-4 * hi):
         mid = 0.5 * (lo + hi)
-        if p_max(m, mid, spec, settings, stop_above=alpha).value > alpha:
+        if p_max(m, mid, spec, stop_above=alpha).value > alpha:
             lo = mid
         else:
             hi = mid
@@ -231,7 +229,7 @@ def critical_value(
         method="Optimized",
         alpha=alpha,
         spec=spec,
-        worst_case=p_max(m, hi, spec, settings),
+        worst_case=p_max(m, hi, spec),
         iterations=iterations,
     )
 
@@ -240,14 +238,13 @@ def one_sided_critical_value(
     m: int,
     alpha: float,
     spec: HeterogeneitySpec,
-    settings: QuadratureSettings | None = None,
 ) -> CriticalValueResult:
     """One-sided critical value at level alpha: the two-sided value at 2*alpha."""
     if not (0.0 < alpha < 0.25):
         raise InvalidParameterError(
             f"one-sided alpha must lie in (0, 0.25), got {alpha!r}"
         )
-    return critical_value(m, 2.0 * alpha, spec, settings)
+    return critical_value(m, 2.0 * alpha, spec)
 
 
 def round3(x: float) -> str:
@@ -314,9 +311,9 @@ class Table:
 
 
 def _table_cell(args: tuple) -> TableCell:
-    alpha, m, rho, k, settings = args
+    alpha, m, rho, k = args
     try:
-        res = critical_value(m, alpha, HeterogeneitySpec(m=m, k=k, rho=rho), settings)
+        res = critical_value(m, alpha, HeterogeneitySpec(m=m, k=k, rho=rho))
         return TableCell(alpha, m, rho, res.cv, res.method, None)
     except StcError as exc:  # a cell the library cannot solve must not kill the grid
         return TableCell(alpha, m, rho, None, None, f"{type(exc).__name__}: {exc}")
@@ -327,7 +324,6 @@ def generate_table(
     ms: list[int],
     rhos: list[float],
     k: int,
-    settings: QuadratureSettings | None = None,
     workers: int | None = None,
 ) -> Table:
     """Grid of critical values over alphas x rhos x ms at a fixed k.
@@ -337,7 +333,7 @@ def generate_table(
     evaluates cells in a process pool (deterministic output order).
     """
     jobs = [
-        (float(alpha), int(m), float(rho), int(k), settings)
+        (float(alpha), int(m), float(rho), int(k))
         for alpha in alphas
         for rho in rhos
         for m in ms

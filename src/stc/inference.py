@@ -25,7 +25,6 @@ from .critical_values import (
 )
 from .distributions import normal_cdf, normal_quantile
 from .errors import InvalidParameterError, NumericalFailureError
-from .rejection import QuadratureSettings
 from .worstcase import HeterogeneitySpec, p_max, p_zero_treated
 
 __all__ = [
@@ -130,24 +129,18 @@ def t_statistic(est: ClusterEstimates) -> tuple[float, float, float]:
     return t, effect, s
 
 
-def _p_two_sided(
-    m: int,
-    abs_t: float,
-    spec: HeterogeneitySpec,
-    settings: QuadratureSettings | None,
-) -> float:
+def _p_two_sided(m: int, abs_t: float, spec: HeterogeneitySpec) -> float:
     if math.isinf(abs_t):
         return 0.0  # limit of p_max as the threshold grows
     if abs_t == 0.0:
         return 1.0
-    return p_max(m, abs_t, spec, settings).value
+    return p_max(m, abs_t, spec).value
 
 
 def p_value(
     est: ClusterEstimates,
     spec: HeterogeneitySpec,
     sided: Sided = Sided.TWO_SIDED,
-    settings: QuadratureSettings | None = None,
 ) -> float:
     """Worst-case p-value of the observed t-statistic.
 
@@ -159,7 +152,7 @@ def p_value(
     if spec.m != est.m:
         raise InvalidParameterError(f"spec.m={spec.m} does not match data m={est.m}")
     t, _, _ = t_statistic(est)
-    two = _p_two_sided(est.m, abs(t), spec, settings)
+    two = _p_two_sided(est.m, abs(t), spec)
     if sided is Sided.TWO_SIDED:
         return two
     toward = t >= 0.0 if sided is Sided.ONE_SIDED_GREATER else t <= 0.0
@@ -170,13 +163,12 @@ def confidence_interval(
     est: ClusterEstimates,
     spec: HeterogeneitySpec,
     alpha: float,
-    settings: QuadratureSettings | None = None,
 ) -> tuple[float, float]:
     """Two-sided 1−alpha interval: effect ± cv·s (a point when s = 0)."""
     _, effect, s = t_statistic(est)
     if s == 0.0:
         return (effect, effect)
-    cv = critical_value(est.m, alpha, spec, settings).cv
+    cv = critical_value(est.m, alpha, spec).cv
     return (effect - cv * s, effect + cv * s)
 
 
@@ -185,17 +177,16 @@ def run_test(
     spec: HeterogeneitySpec,
     alpha: float,
     sided: Sided = Sided.TWO_SIDED,
-    settings: QuadratureSettings | None = None,
 ) -> TestReport:
     """Full test at level alpha: statistic, decision, p-value, interval."""
     if spec.m != est.m:
         raise InvalidParameterError(f"spec.m={spec.m} does not match data m={est.m}")
     t, effect, s = t_statistic(est)
     if sided is Sided.TWO_SIDED:
-        cv = critical_value(est.m, alpha, spec, settings)
+        cv = critical_value(est.m, alpha, spec)
         reject = abs(t) > cv.cv
     else:
-        cv = one_sided_critical_value(est.m, alpha, spec, settings)
+        cv = one_sided_critical_value(est.m, alpha, spec)
         reject = t > cv.cv if sided is Sided.ONE_SIDED_GREATER else t < -cv.cv
     if s == 0.0:
         ci = (effect, effect)
@@ -210,7 +201,7 @@ def run_test(
         effect=effect,
         control_sd=s,
         cv=cv,
-        p_value=p_value(est, spec, sided, settings),
+        p_value=p_value(est, spec, sided),
         ci=ci,
         sided=sided,
         reject=reject,
@@ -218,11 +209,7 @@ def run_test(
     )
 
 
-def rho_frontier(
-    est: ClusterEstimates,
-    alpha: float,
-    settings: QuadratureSettings | None = None,
-) -> RhoFrontier:
+def rho_frontier(est: ClusterEstimates, alpha: float) -> RhoFrontier:
     """Breakdown bound rho_hat_k = inf{rho >= 0 : worst-case p > alpha}, all k.
 
     Bisection on rho (the worst-case tail is nondecreasing in rho), relative
@@ -242,7 +229,7 @@ def rho_frontier(
 
     def exceeds(k: int, rho: float) -> bool:
         spec = HeterogeneitySpec(m=m, k=k, rho=rho)
-        return p_max(m, at, spec, settings, stop_above=alpha).value > alpha
+        return p_max(m, at, spec, stop_above=alpha).value > alpha
 
     bounds: list[float] = []
     prev = math.inf
@@ -269,7 +256,7 @@ def rho_frontier(
     return RhoFrontier(alpha=alpha, bounds=tuple(bounds))
 
 
-def power_lower_bound(delta: float, sigmas, c: float, m: int | None = None) -> float:
+def power_lower_bound(delta: float, sigmas, c: float) -> float:
     """Guaranteed lower bound on rejection probability at effect size delta.
 
     ``sigmas`` holds the m control SDs followed by the treated SD.  The
@@ -286,10 +273,7 @@ def power_lower_bound(delta: float, sigmas, c: float, m: int | None = None) -> f
         )
     if not np.all(np.isfinite(sig)) or np.any(sig < 0):
         raise InvalidParameterError("sigmas must be finite and nonnegative")
-    if m is None:
-        m = sig.size - 1
-    elif int(m) != sig.size - 1:
-        raise InvalidParameterError(f"m={m} does not match len(sigmas)-1={sig.size - 1}")
+    m = sig.size - 1
     c = float(c)
     if not math.isfinite(c) or c <= 0:
         raise InvalidParameterError(f"threshold c must be finite and > 0, got {c!r}")

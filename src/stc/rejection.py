@@ -22,7 +22,10 @@ removed exactly by the substitution s = t*sin(u)^2:
     P = (1/pi) * Integral_0^{pi/2}  2*sqrt(t)*sin(u) * U(x, t*sin(u)^2) du,
 
 after which the integrand is smooth (near u = 0 it behaves like an integer
-power of sin(u)) and fixed-panel Gauss-Legendre converges spectrally.
+power of sin(u)) and fixed-panel Gauss-Legendre converges spectrally.  The
+exception is a tiny positive ratio x_j: the integrand then bends sharply at
+u ~ sqrt(x_j/t), which the default 64 panels do not resolve when that bend
+carries weight (tails near 1; see tests/test_quadrature_oracle.py).
 
 Q is accumulated in log space in all regimes: the grid and refinement
 searches upstream push x_j as high as ~1e10 at m = 50, where plain products

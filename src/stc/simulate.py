@@ -31,7 +31,6 @@ import numpy as np
 
 from .critical_values import CriticalValueResult, critical_value
 from .errors import InvalidParameterError
-from .rejection import DEFAULT_SETTINGS, QuadratureSettings
 from .worstcase import HeterogeneitySpec
 
 __all__ = [
@@ -282,7 +281,6 @@ def _design_t_statistics(design, reps: int, seed: int) -> np.ndarray:
 
 def run(
     config: MCConfig,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
     include_stats: bool = False,
 ) -> MCResult:
     """Rejection frequency of the two-sided t-test over seeded replications.
@@ -293,7 +291,7 @@ def run(
     Identical configs (including seed) give bit-identical results.
     """
     spec = HeterogeneitySpec(config.design.m, config.k, config.test_rho)
-    cv = critical_value(config.design.m, config.alpha, spec, settings)
+    cv = critical_value(config.design.m, config.alpha, spec)
     t = _design_t_statistics(config.design, config.reps, config.seed)
     rejections = int(np.count_nonzero(np.abs(t) > cv.cv))
     rate = rejections / config.reps

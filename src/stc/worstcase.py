@@ -51,11 +51,14 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 60
 _GOLDEN_REL_TOL = 1e-6
-# Search probes run on a coarse rule: after the sin^2 substitution the
-# integrand is smooth enough that 16 panels already reproduce the default
-# 64-panel values to machine precision, and probes dominate the runtime.
-# The value finally reported for each branch is re-evaluated at the caller's
-# settings.
+# Search probes run on a coarse 16-panel rule, because probes dominate the
+# runtime.  Against a 30-digit oracle on 2,000 rows sampled like the search's
+# own (tests/test_quadrature_oracle.py), probes were within 1.5e-8 of the
+# exact tail wherever it is at most 0.5, and within 1.2e-5 at tails near 1
+# (the default rule: 2.6e-10 and 7.9e-8).  Probe error never reaches a
+# reported value: every branch value, and the certificate of an early exit,
+# is re-evaluated on DEFAULT_SETTINGS; probes only choose the gamma at which
+# that happens.
 _PROBE_SETTINGS = QuadratureSettings(panels=16, nodes_per_panel=16)
 
 
@@ -200,7 +203,6 @@ def p_bar(
     gamma: float | None,
     m1: int,
     m0: int,
-    settings: QuadratureSettings | None = None,
 ) -> float:
     """Rejection probability at the structured boundary configuration.
 
@@ -224,7 +226,7 @@ def p_bar(
             raise InvalidParameterError("all-zero ratio configuration (m1=0, m0=m)")
         gamma = 0.0  # no remaining columns exist; value unused
     values, counts = _boundary_rows(m, rho, m1, m0, gamma)
-    return float(_tails_for_gamma_rows(values, c, settings, counts=counts)[0])
+    return float(_tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)[0])
 
 
 def _gamma_candidates(rho: float, rho_lower: float, m1: int) -> np.ndarray:
@@ -244,7 +246,6 @@ def p_tilde(
     rho: float,
     m1: int,
     m0: int,
-    settings: QuadratureSettings | None = None,
 ) -> float:
     """Supremum of p_bar over the free ratio gamma in [rho_lower, inf).
 
@@ -259,11 +260,9 @@ def p_tilde(
     if not 1 <= k <= m:
         raise InvalidParameterError(f"k must lie in 1..{m}, got {k}")
     if m1 + m0 == m:
-        return p_bar(m, c, rho, None, m1, m0, settings)
+        return p_bar(m, c, rho, None, m1, m0)
     rho_lower = 0.0 if m1 >= m - k + 1 else 1.0 / rho
-    traces, _ = _optimize_gamma_branches(
-        m, c, rho, [(m1, m0, rho_lower)], settings or DEFAULT_SETTINGS, None
-    )
+    traces, _ = _optimize_gamma_branches(m, c, rho, [(m1, m0, rho_lower)], None)
     return traces[0].value
 
 
@@ -287,14 +286,13 @@ def _optimize_gamma_branches(
     c: float,
     rho: float,
     branches: list[tuple[int, int, float]],
-    settings: QuadratureSettings,
     stop_above: float | None,
 ) -> tuple[list[BranchTrace], BranchTrace | None]:
     """Maximize p_bar over gamma for several (m1, m0) branches in lock-step.
 
     Each branch runs a log-spaced grid on the probe rule, then golden-section
     refinement around the grid argmax, then one evaluation of the best gamma
-    at the caller's settings; every branch's probe points share one
+    on the default rule; every branch's probe points share one
     vectorized kernel call per step.  Returns (traces, early): either every
     branch finished (`early` is None) or the grid phase already certified a
     value above ``stop_above`` and `early` carries that single confirmed
@@ -330,7 +328,7 @@ def _optimize_gamma_branches(
         i = int(np.argmax(best_val))
         if best_val[i] > stop_above:
             m1, m0, rl = branches[i]
-            confirmed = float(tails(i, best_gamma[i], settings)[0])
+            confirmed = float(tails(i, best_gamma[i], DEFAULT_SETTINGS)[0])
             if confirmed > stop_above:
                 early = BranchTrace(
                     m1, m0, rl, float(best_gamma[i]), confirmed, int(n_evals[i]) + 1
@@ -376,7 +374,7 @@ def _optimize_gamma_branches(
             best_val[upd] = fv[upd]
             best_gamma[upd] = xv[upd]
 
-    final_vals = tails(np.arange(n), best_gamma, settings)
+    final_vals = tails(np.arange(n), best_gamma, DEFAULT_SETTINGS)
     n_evals += 1
     traces = [
         BranchTrace(m1, m0, rl, float(g), float(v), int(ne))
@@ -389,7 +387,6 @@ def p_max(
     m: int,
     c: float,
     spec: HeterogeneitySpec,
-    settings: QuadratureSettings | None = None,
     stop_above: float | None = None,
     _memo: dict | None = None,
 ) -> WorstCaseResult:
@@ -427,7 +424,6 @@ def p_max(
         )
 
     memo = _memo if _memo is not None else {}
-    settings = settings or DEFAULT_SETTINGS
     order = _branch_order(m, k)
     trace_map: dict[tuple[int, int], BranchTrace] = {}
     pending_fixed: list[tuple[int, int, float]] = []
@@ -483,7 +479,7 @@ def p_max(
     if pending_fixed:
         m1s, m0s, _ = zip(*pending_fixed)
         values, counts = _boundary_rows(m, rho, m1s, m0s, 0.0)
-        vals = _tails_for_gamma_rows(values, c, settings, counts=counts)
+        vals = _tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)
         exceeded = absorb(
             [
                 BranchTrace(m1, m0, rl, None, float(v), 1)
@@ -499,9 +495,7 @@ def p_max(
     pos, group_size = 0, 1
     while pos < len(pending_gamma):
         group = pending_gamma[pos : pos + group_size]
-        traces, early = _optimize_gamma_branches(
-            m, c, rho, group, settings, stop_above
-        )
+        traces, early = _optimize_gamma_branches(m, c, rho, group, stop_above)
         if early is not None:
             trace_map[(early.m1, early.m0)] = early  # not memoized: bound only
             return boundary_result(early, False)
@@ -518,9 +512,7 @@ def p_max(
     return result(p0, ZeroTreated(j=j0), True)
 
 
-def p_max_all_k(
-    m: int, c: float, rho: float, settings: QuadratureSettings | None = None
-) -> tuple[WorstCaseResult, ...]:
+def p_max_all_k(m: int, c: float, rho: float) -> tuple[WorstCaseResult, ...]:
     """p_max for every k in 1..m at fixed (m, c, rho), sharing branch work.
 
     The branch memo is keyed by (m1, m0, gamma-domain lower end), so the
@@ -529,6 +521,6 @@ def p_max_all_k(
     m, c = _validate_mc(m, c)
     memo: dict = {}
     return tuple(
-        p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho), settings, _memo=memo)
+        p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho), _memo=memo)
         for k in range(1, m + 1)
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import stc.errors as errors_mod
 from stc.cli import (
     _f6,
     _parse_floats,
@@ -352,6 +353,95 @@ def test_infeasibility_exit_code(capsys, monkeypatch):
     code, _, err = _run(capsys, ["cv", "--m", "5", "--alpha", "0.05", "--rho", "1"])
     assert code == 3
     assert "unattainable" in err
+
+
+# the documented contract: 2 parameter, 3 infeasibility, 4 data or file
+_EXIT_CODES = {
+    "StcError": 3,
+    "InvalidParameterError": 2,
+    "BracketSignError": 3,
+    "NumericalFailureError": 3,
+    "NoValidCriticalValueError": 3,
+    "DesignViolationError": 4,
+    "RankDeficiencyError": 4,
+    "DataFormatError": 4,
+    "OSError": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "exc_type",
+    [getattr(errors_mod, name) for name in errors_mod.__all__] + [OSError],
+    ids=lambda t: t.__name__,
+)
+def test_every_error_maps_to_its_exit_code(capsys, monkeypatch, exc_type):
+    import stc.cli as cli_mod
+
+    def handler(args):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli_mod, "_cmd_cv", handler)
+    code, out, err = _run(capsys, ["cv", "--m", "5", "--rho", "1"])
+    assert code == _EXIT_CODES[exc_type.__name__]
+    assert out == ""
+    assert err == "error: boom\n"
+
+
+def test_programming_errors_are_not_swallowed(monkeypatch):
+    import stc.cli as cli_mod
+
+    def handler(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli_mod, "_cmd_cv", handler)
+    with pytest.raises(KeyError):
+        main(["cv", "--m", "5", "--rho", "1"])
+
+
+def test_data_path_naming_a_directory_is_a_data_error(capsys, tmp_path):
+    code, _, err = _run(
+        capsys,
+        ["pvalue", "--data", str(tmp_path), "--design", "did", "--treated", "t",
+         "--post-start", "2", "--rho", "1"],
+    )
+    assert code == 4
+    assert err.startswith("error:")
+
+
+def test_non_utf8_csv_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((DID_HEADER + DID_BODY + "t,1,0\nt,2,5\n").encode() + b"caf\xe9,1,0\n")
+    with pytest.raises(DataFormatError, match="not UTF-8"):
+        read_panel_csv(str(path))
+    code, _, err = _run(
+        capsys,
+        ["pvalue", "--data", str(path), "--design", "did", "--treated", "t",
+         "--post-start", "2", "--rho", "1"],
+    )
+    assert code == 4
+    assert err.startswith("error:") and str(path) in err
+
+
+def test_output_path_naming_a_directory_is_a_file_error(capsys, tmp_path):
+    code, out, err = _run(
+        capsys, ["cv", "--m", "5", "--rho", "1", "--output-path", str(tmp_path)]
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_byte_order_mark_round_trip(capsys, tmp_path, did_csv):
+    bom = tmp_path / "bom.csv"
+    plain = open(did_csv, encoding="utf-8").read()
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.encode())
+    with_bom, without = read_panel_csv(str(bom)), read_panel_csv(did_csv)
+    assert with_bom.keys() == without.keys()
+    for name, col in without.items():
+        assert (col is None and with_bom[name] is None) or np.array_equal(col, with_bom[name])
+    argv = ["pvalue", "--design", "did", "--treated", "t", "--post-start", "2",
+            "--rho", "1", "--output", "json"]
+    assert _run(capsys, argv + ["--data", str(bom)]) == _run(capsys, argv + ["--data", did_csv])
 
 
 # ----------------------------------------------------------- CSV schema

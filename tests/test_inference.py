@@ -236,8 +236,6 @@ def test_power_lower_bound_limits_and_clamp():
     assert power_lower_bound(0.5, sigmas, c=2.0) == 0.0  # clamped at zero
     with pytest.raises(InvalidParameterError):
         power_lower_bound(-1.0, sigmas, c=2.0)
-    with pytest.raises(InvalidParameterError):
-        power_lower_bound(1.0, sigmas, c=2.0, m=7)
 
 
 def test_power_lower_bound_via_monte_carlo():

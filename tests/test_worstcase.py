@@ -8,7 +8,7 @@ from stc.charpoly import GammaConfig
 from stc.critical_values import _closed_form_k1
 from stc.distributions import t_quantile, t_two_sided_tail
 from stc.errors import InvalidParameterError
-from stc.rejection import DEFAULT_SETTINGS, rejection_probability
+from stc.rejection import rejection_probability
 from stc.simulate import empirical_rejection_rate
 from stc.worstcase import (
     Boundary,
@@ -234,8 +234,6 @@ def test_p_max_branches_match_single_branch_p_tilde():
         assert len(free) >= 2
         for tr in free:
             assert p_tilde(m, c, k, rho, tr.m1, tr.m0) == pytest.approx(tr.value, abs=1e-12)
-            (alone,), _ = _optimize_gamma_branches(
-                m, c, rho, [(tr.m1, tr.m0, tr.rho_lower)], DEFAULT_SETTINGS, None
-            )
+            (alone,), _ = _optimize_gamma_branches(m, c, rho, [(tr.m1, tr.m0, tr.rho_lower)], None)
             assert alone.n_evals == tr.n_evals
             assert alone.gamma == tr.gamma
