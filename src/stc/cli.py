@@ -16,13 +16,24 @@ decimal, header ``cluster,unit,time,outcome,c`` where ``unit`` and ``c``
 are comments.  The treated cluster is designated by --treated, never by a
 column, so one schema serves every design.
 
-JSON output round-trips byte-identically: floats are pre-rounded (6
-significant digits for diagnostics, 3 decimals for table cells), infinities
-are emitted as the string "inf", missing values as null.
+Each subcommand computes one record, and every format derives from it.
+JSON is the record and round-trips byte-identically: floats are pre-rounded
+(6 significant digits for diagnostics, 3 decimals for table cells),
+infinities are the string "inf", missing values null.  CSV (a header and
+one row) and text (one ``name=value`` line per field) flatten the record:
+nested names are joined by '.' and list items by index, e.g.
+``worst_case.achieving.kind`` and ``ci.0``.  So the ``worst_case.achieving.*``
+columns of ``test`` depend on the worst case: m1, m0 and gamma for
+``Boundary``, active_controls for ``ZeroTreated``.  A row list
+(``rho-frontier``'s ``frontier``) is the whole CSV, one row each, and one
+text line per row after the other fields.  Null is NA, booleans true/false,
+floats %g.  ``max-alpha`` and ``table`` print a rho-by-m pivot as CSV and text.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -70,13 +81,11 @@ _SIDED = {"greater": Sided.ONE_SIDED_GREATER, "less": Sided.ONE_SIDED_LESS}
 
 def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
     """Parse the panel schema into column arrays (absent columns -> None)."""
-    import csv as _csv
-
     rows: list[list[str]] = []
     numbers: list[int] = []
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            for number, record in enumerate(_csv.reader(fh), start=1):
+            for number, record in enumerate(csv.reader(fh), start=1):
                 if not record or (record[0].lstrip().startswith("#")):
                     continue
                 if all(not field.strip() for field in record):
@@ -153,7 +162,7 @@ def _format_cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# output: one record per subcommand, every format derived from it
 
 
 def _f6(x):
@@ -168,14 +177,68 @@ def _f6(x):
     return float(f"{x:.6g}")
 
 
-def _emit(args, text: str, json_obj, csv_text: str) -> None:
-    if args.output == "json":
-        out = json_obj if isinstance(json_obj, str) else json.dumps(json_obj, indent=2)
-        out += "\n" if not out.endswith("\n") else ""
-    elif args.output == "csv":
-        out = csv_text if csv_text.endswith("\n") else csv_text + "\n"
+def _achieving_json(achieving) -> dict:
+    if isinstance(achieving, ZeroTreated):
+        return {"kind": "ZeroTreated", "active_controls": achieving.j}
+    assert isinstance(achieving, Boundary)
+    return {"kind": "Boundary", "m1": achieving.m1, "m0": achieving.m0,
+            "gamma": _f6(achieving.gamma)}
+
+
+def _flatten(value, name: str = "") -> list[tuple[str, object]]:
+    """(path, scalar) pairs: dict keys joined by '.', list items by index."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
     else:
-        out = text if text.endswith("\n") else text + "\n"
+        return [(name, value)]
+    return [pair for key, item in items
+            for pair in _flatten(item, f"{name}.{key}" if name else str(key))]
+
+
+def _cell(value) -> str:
+    if value is None:
+        return "NA"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
+
+
+def _render(record, fmt: str, grid: str | None) -> str:
+    """The record as JSON, or flattened to CSV or text (``grid`` replaces both)."""
+    if fmt == "json":
+        return json.dumps(record, indent=2) + "\n"
+    if grid is not None:
+        return grid
+    rows_key = next((key for key, value in record.items()
+                     if isinstance(value, list) and value and isinstance(value[0], dict)), None)
+    head = _flatten({key: value for key, value in record.items() if key != rows_key})
+    rows = [_flatten(row) for row in record[rows_key]] if rows_key else [head]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([name for name, _ in rows[0]])
+        writer.writerows([_cell(value) for _, value in row] for row in rows)
+        return buf.getvalue()
+    lines = [f"{name}={_cell(value)}" for name, value in head]
+    if rows_key:
+        lines += [" ".join(f"{name}={_cell(value)}" for name, value in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _alpha_grid_csv(records: list[dict], ms: list[int]) -> str:
+    """max-alpha's pivot: one row per rho, one percent column per m."""
+    rows = [records[i:i + len(ms)] for i in range(0, len(records), len(ms))]
+    lines = ["rho," + ",".join(str(m) for m in ms)]
+    lines += [",".join([f"{row[0]['rho']:g}"] + [f"{rec['percent']:.2f}" for rec in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _emit(args, out: str) -> None:
     if args.output_path:
         with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(out)
@@ -183,48 +246,44 @@ def _emit(args, text: str, json_obj, csv_text: str) -> None:
         sys.stdout.write(out)
 
 
-def _csv_lines(header: str, rows: list[list]) -> str:
-    return "\n".join([header] + [",".join(str(x) for x in row) for row in rows]) + "\n"
-
-
-def _achieving_json(achieving) -> dict:
-    if isinstance(achieving, ZeroTreated):
-        return {"kind": "ZeroTreated", "active_controls": achieving.j}
-    assert isinstance(achieving, Boundary)
-    return {
-        "kind": "Boundary",
-        "m1": achieving.m1,
-        "m0": achieving.m0,
-        "gamma": _f6(achieving.gamma),
-    }
-
-
-def _achieving_text(achieving) -> str:
-    if isinstance(achieving, ZeroTreated):
-        return f"ZeroTreated(active_controls={achieving.j})"
-    gamma = "none" if achieving.gamma is None else f"{achieving.gamma:.6g}"
-    return f"Boundary(m1={achieving.m1}, m0={achieving.m0}, gamma={gamma})"
-
-
 # ---------------------------------------------------------------------------
 # flag parsing helpers
+
+# far above any published grid
+_MAX_POINTS = 10_000
+
+
+def _check_numbers(token: str) -> tuple[list[float], int | None]:
+    """A comma list's finite numbers, or a:b:step and its point count, unbuilt."""
+    is_range = ":" in token
+    parts = token.split(":") if is_range else [x for x in token.split(",") if x]
+    try:
+        values = [float(x) for x in parts]
+    except ValueError:
+        values = None
+    if values is None or (is_range and len(values) != 3):
+        expected = "a:b:step" if is_range else "comma-separated numbers"
+        raise InvalidParameterError(f"bad number list {token!r}; expected {expected}")
+    if not values or not all(math.isfinite(v) for v in values):
+        raise InvalidParameterError(f"expected finite numbers, got {token!r}")
+    if not is_range:
+        return values, None
+    a, b, step = values
+    if step <= 0 or b < a:
+        raise InvalidParameterError(f"bad range {token!r}: need step > 0 and b >= a")
+    n = (b - a) / step + 1e-9
+    if not n < _MAX_POINTS:  # also an overflow to inf
+        raise InvalidParameterError(f"range {token!r} has more than {_MAX_POINTS} points")
+    return values, int(n) + 1
 
 
 def _parse_floats(token: str) -> list[float]:
     """Comma list or inclusive range a:b:step."""
-    if ":" in token:
-        try:
-            a, b, step = (float(x) for x in token.split(":"))
-        except ValueError:
-            raise InvalidParameterError(f"bad range {token!r}; expected a:b:step") from None
-        if step <= 0 or b < a:
-            raise InvalidParameterError(f"bad range {token!r}: need step > 0 and b >= a")
-        n = int(math.floor((b - a) / step + 1e-9))
-        return [round(a + i * step, 10) for i in range(n + 1)]
-    try:
-        return [float(x) for x in token.split(",") if x]
-    except ValueError:
-        raise InvalidParameterError(f"bad number list {token!r}") from None
+    values, points = _check_numbers(token)
+    if points is None:
+        return values
+    a, _, step = values
+    return [round(a + i * step, 10) for i in range(points)]
 
 
 def _parse_ints(token: str) -> list[int]:
@@ -246,9 +305,9 @@ def _workers(args) -> int:
     return max(1, workers)
 
 
-def _panel_from_args(args) -> PanelData:
+def _estimates_from_args(args):
     cols = read_panel_csv(args.data)
-    return PanelData(
+    panel = PanelData(
         cluster=cols["cluster"],
         outcome=cols["outcome"],
         treated_cluster=args.treated,
@@ -257,10 +316,7 @@ def _panel_from_args(args) -> PanelData:
         unit=cols["unit"],
         c_indicator=cols["c"],
     )
-
-
-def _estimates_from_args(args):
-    extraction = extract(_panel_from_args(args), _DESIGNS[args.design])
+    extraction = extract(panel, _DESIGNS[args.design])
     return extraction, extraction.estimates
 
 
@@ -270,209 +326,94 @@ def _sided_from_args(args) -> Sided:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its record, or (records, pivot CSV) for a grid
 
 
-def _cmd_cv(args) -> int:
+def _cmd_cv(args) -> dict:
     spec = HeterogeneitySpec(m=args.m, k=args.k, rho=args.rho)
     invert = one_sided_critical_value if args.one_sided else critical_value
     res = invert(args.m, args.alpha, spec)
-    obj = {
-        "m": args.m,
-        "alpha": args.alpha,
-        "k": args.k,
-        "rho": args.rho,
+    return {
+        "m": args.m, "alpha": args.alpha, "k": args.k, "rho": args.rho,
         "one_sided": bool(args.one_sided),
-        "cv": _f6(res.cv),
-        "cv_rounded": float(round3(res.cv)),
-        "method": res.method,
-        "worst_case_at_cv": _f6(res.worst_case.value),
-        "iterations": res.iterations,
+        "cv": _f6(res.cv), "cv_rounded": float(round3(res.cv)), "method": res.method,
+        "worst_case_at_cv": _f6(res.worst_case.value), "iterations": res.iterations,
     }
-    text = (
-        f"cv={round3(res.cv)} method={res.method}\n"
-        f"  m={args.m} alpha={args.alpha:g} k={args.k} rho={args.rho:g}"
-        f" one_sided={str(bool(args.one_sided)).lower()}\n"
-        f"  cv_full={res.cv:.6g} worst_case_at_cv={res.worst_case.value:.6g}"
-        f" iterations={res.iterations}"
-    )
-    csv_text = _csv_lines(
-        "m,alpha,k,rho,one_sided,cv,method",
-        [[args.m, f"{args.alpha:g}", args.k, f"{args.rho:g}",
-          int(bool(args.one_sided)), round3(res.cv), res.method]],
-    )
-    _emit(args, text, obj, csv_text)
-    return 0
 
 
-def _cmd_max_alpha(args) -> int:
-    ms, rhos = args.ms, args.rhos
-    grid = {(m, rho): alpha_underline(m, rho) for m in ms for rho in rhos}
-    records = [
-        {"m": m, "rho": rho, "alpha_underline": _f6(grid[(m, rho)]),
-         "percent": round(100.0 * grid[(m, rho)], 2)}
-        for rho in rhos for m in ms
-    ]
-    header = "rho," + ",".join(str(m) for m in ms)
-    rows = [[f"{rho:g}"] + [f"{100.0 * grid[(m, rho)]:.2f}" for m in ms] for rho in rhos]
-    text_lines = ["largest valid alpha (percent) by rho (rows) and m (columns)",
-                  "rho     " + "".join(f"{m:>8d}" for m in ms)]
-    for rho in rhos:
-        text_lines.append(
-            f"{rho:<8g}" + "".join(f"{100.0 * grid[(m, rho)]:>8.2f}" for m in ms)
-        )
-    _emit(args, "\n".join(text_lines), records, _csv_lines(header, rows))
-    return 0
+def _cmd_max_alpha(args) -> tuple[list[dict], str]:
+    records = []
+    for rho in args.rhos:
+        for m in args.ms:
+            alpha = alpha_underline(m, rho)
+            records.append({"m": m, "rho": rho, "alpha_underline": _f6(alpha),
+                            "percent": round(100.0 * alpha, 2)})
+    return records, _alpha_grid_csv(records, args.ms)
 
 
-def _cmd_pvalue(args) -> int:
+def _cmd_pvalue(args) -> dict:
     extraction, est = _estimates_from_args(args)
     spec = HeterogeneitySpec(m=est.m, k=args.k, rho=args.rho)
     sided = _sided_from_args(args)
     p = p_value(est, spec, sided)
     t, effect, s = t_statistic(est)
-    obj = {
-        "design": args.design,
-        "treated": extraction.treated_cluster,
-        "m": est.m,
-        "k": args.k,
-        "rho": args.rho,
-        "sided": sided.value,
-        "delta_hat": _f6(effect),
-        "t_stat": _f6(t),
-        "p_value": _f6(p),
+    return {
+        "design": args.design, "treated": extraction.treated_cluster, "m": est.m,
+        "k": args.k, "rho": args.rho, "sided": sided.value,
+        "delta_hat": _f6(effect), "t_stat": _f6(t), "p_value": _f6(p),
     }
-    text = (
-        f"p={p:.6g} ({sided.value})\n"
-        f"  t={t:.6g} delta_hat={effect:.6g} m={est.m} k={args.k} rho={args.rho:g}"
-    )
-    csv_text = _csv_lines(
-        "design,treated,m,k,rho,sided,delta_hat,t_stat,p_value",
-        [[args.design, extraction.treated_cluster, est.m, args.k, f"{args.rho:g}",
-          sided.value, f"{effect:.6g}", f"{t:.6g}", f"{p:.6g}"]],
-    )
-    _emit(args, text, obj, csv_text)
-    return 0
 
 
-def _interval_json(ci: tuple[float, float]) -> list:
-    return [_f6(ci[0]), _f6(ci[1])]
-
-
-def _cmd_test(args) -> int:
+def _cmd_test(args) -> dict:
     extraction, est = _estimates_from_args(args)
     spec = HeterogeneitySpec(m=est.m, k=args.k, rho=args.rho)
     sided = _sided_from_args(args)
     report = run_test(est, spec, args.alpha, sided)
     worst = report.cv.worst_case
-    obj = {
-        "design": args.design,
-        "treated": extraction.treated_cluster,
-        "m": est.m,
-        "alpha": args.alpha,
-        "k": args.k,
-        "rho": args.rho,
-        "sided": sided.value,
-        "delta_hat": _f6(report.effect),
-        "t_stat": _f6(report.t_stat),
+    return {
+        "design": args.design, "treated": extraction.treated_cluster, "m": est.m,
+        "alpha": args.alpha, "k": args.k, "rho": args.rho, "sided": sided.value,
+        "delta_hat": _f6(report.effect), "t_stat": _f6(report.t_stat),
         "control_sd": _f6(report.control_sd),
-        "cv": _f6(report.cv.cv),
-        "method": report.cv.method,
-        "p_value": _f6(report.p_value),
-        "ci": _interval_json(report.ci),
-        "reject": report.reject,
-        "degenerate": report.degenerate,
-        "worst_case": {
-            "value": _f6(worst.value),
-            "achieving": _achieving_json(worst.achieving_config),
-        },
+        "cv": _f6(report.cv.cv), "method": report.cv.method,
+        "p_value": _f6(report.p_value), "ci": [_f6(report.ci[0]), _f6(report.ci[1])],
+        "reject": report.reject, "degenerate": report.degenerate,
+        "worst_case": {"value": _f6(worst.value),
+                       "achieving": _achieving_json(worst.achieving_config)},
     }
-    lo, hi = report.ci
-    text = (
-        f"reject={str(report.reject).lower()} p={report.p_value:.6g}"
-        f" (alpha={args.alpha:g}, {sided.value})\n"
-        f"  delta_hat={report.effect:.6g} t={report.t_stat:.6g}"
-        f" control_sd={report.control_sd:.6g} m={est.m}\n"
-        f"  cv={report.cv.cv:.6g} method={report.cv.method}"
-        f" k={args.k} rho={args.rho:g}\n"
-        f"  ci=[{lo:.6g}, {hi:.6g}]\n"
-        f"  worst_case={worst.value:.6g} at {_achieving_text(worst.achieving_config)}"
-        + ("\n  note: zero control variance; degenerate statistic" if report.degenerate else "")
-    )
-    csv_text = _csv_lines(
-        "design,treated,m,alpha,k,rho,sided,delta_hat,t_stat,cv,p_value,ci_lo,ci_hi,reject",
-        [[args.design, extraction.treated_cluster, est.m, f"{args.alpha:g}", args.k,
-          f"{args.rho:g}", sided.value, f"{report.effect:.6g}", f"{report.t_stat:.6g}",
-          f"{report.cv.cv:.6g}", f"{report.p_value:.6g}", f"{lo:.6g}", f"{hi:.6g}",
-          str(report.reject).lower()]],
-    )
-    _emit(args, text, obj, csv_text)
-    return 0
 
 
-def _cmd_ci(args) -> int:
+def _cmd_ci(args) -> dict:
     extraction, est = _estimates_from_args(args)
     spec = HeterogeneitySpec(m=est.m, k=args.k, rho=args.rho)
     lo, hi = confidence_interval(est, spec, args.alpha)
     _, effect, _ = t_statistic(est)
-    obj = {
-        "design": args.design,
-        "treated": extraction.treated_cluster,
-        "m": est.m,
-        "alpha": args.alpha,
-        "k": args.k,
-        "rho": args.rho,
-        "delta_hat": _f6(effect),
-        "ci": _interval_json((lo, hi)),
+    return {
+        "design": args.design, "treated": extraction.treated_cluster, "m": est.m,
+        "alpha": args.alpha, "k": args.k, "rho": args.rho,
+        "delta_hat": _f6(effect), "ci": [_f6(lo), _f6(hi)],
     }
-    text = (
-        f"ci=[{lo:.6g}, {hi:.6g}] (alpha={args.alpha:g})\n"
-        f"  delta_hat={effect:.6g} m={est.m} k={args.k} rho={args.rho:g}"
-    )
-    csv_text = _csv_lines(
-        "design,treated,m,alpha,k,rho,delta_hat,ci_lo,ci_hi",
-        [[args.design, extraction.treated_cluster, est.m, f"{args.alpha:g}", args.k,
-          f"{args.rho:g}", f"{effect:.6g}", f"{lo:.6g}", f"{hi:.6g}"]],
-    )
-    _emit(args, text, obj, csv_text)
-    return 0
 
 
-def _frontier_cell(bound: float):
-    """NA when nothing rejects (bound 0); 'inf' when everything does."""
-    if bound == 0.0:
-        return None
-    return _f6(bound)
-
-
-def _cmd_rho_frontier(args) -> int:
+def _cmd_rho_frontier(args) -> dict:
     extraction, est = _estimates_from_args(args)
     t, _, _ = t_statistic(est)
-    records = []
-    rows = []
-    text_lines = [f"t={t:.6g} m={est.m}"]
-    for alpha in args.alpha_list:
-        frontier = rho_frontier(est, alpha)
-        for k, bound in enumerate(frontier.bounds, start=1):
-            cell = _frontier_cell(bound)
-            records.append({"alpha": alpha, "k": k, "rho_hat": cell})
-            rows.append([f"{alpha:g}", k, "NA" if cell is None else cell])
-        shown = ["NA" if _frontier_cell(b) is None else f"{b:.4g}" for b in frontier.bounds]
-        text_lines.append(f"alpha={alpha:g}: rho_hat by k = {', '.join(shown)}")
-    obj = {"design": args.design, "treated": extraction.treated_cluster,
-           "m": est.m, "t_stat": _f6(t), "frontier": records}
-    _emit(args, "\n".join(text_lines), obj, _csv_lines("alpha,k,rho_hat", rows))
-    return 0
+    # a bound of 0 means nothing rejects (null); inf means everything does
+    frontier = [
+        {"alpha": alpha, "k": k, "rho_hat": None if bound == 0.0 else _f6(bound)}
+        for alpha in args.alpha_list
+        for k, bound in enumerate(rho_frontier(est, alpha).bounds, start=1)
+    ]
+    return {"design": args.design, "treated": extraction.treated_cluster,
+            "m": est.m, "t_stat": _f6(t), "frontier": frontier}
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[list[dict], str]:
     table = generate_table(args.alphas, args.ms, args.rhos, args.k, workers=_workers(args))
-    text = table.to_csv()
-    _emit(args, text, table.to_json(), table.to_csv())
-    return 0
+    return json.loads(table.to_json()), table.to_csv()
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     if args.design == "normal":
         design = NormalMeansDesign(dgp=args.dgp, m=args.m, delta=args.delta, rho=args.rho)
     else:
@@ -486,36 +427,13 @@ def _cmd_simulate(args) -> int:
             fh.write("rep,t_stat,reject\n")
             for r, t in enumerate(result.t_stats):
                 fh.write(f"{r},{float(t)!r},{int(abs(t) > cv)}\n")
-    obj = {
-        "design": args.design,
-        "dgp": args.dgp,
-        "m": args.m,
-        "reps": args.reps,
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "k": args.k,
-        "rho": _f6(config.test_rho),
-        "rejection_rate": _f6(result.rejection_rate),
-        "se": _f6(result.se),
+    return {
+        "design": args.design, "dgp": args.dgp, "m": args.m, "reps": args.reps,
+        "seed": args.seed, "alpha": args.alpha, "k": args.k, "rho": _f6(config.test_rho),
+        "rejection_rate": _f6(result.rejection_rate), "se": _f6(result.se),
         "rejections": result.rejections,
-        "cv": _f6(result.critical_value.cv),
-        "method": result.critical_value.method,
+        "cv": _f6(result.critical_value.cv), "method": result.critical_value.method,
     }
-    text = (
-        f"rejection_rate={result.rejection_rate:.6g} se={result.se:.3g}"
-        f" ({result.rejections}/{result.reps} reps)\n"
-        f"  design={args.design} dgp={args.dgp} m={args.m} alpha={args.alpha:g}"
-        f" k={args.k} rho={config.test_rho:g} seed={args.seed}\n"
-        f"  cv={result.critical_value.cv:.6g} method={result.critical_value.method}"
-    )
-    csv_text = _csv_lines(
-        "design,dgp,m,reps,seed,alpha,k,rho,rejection_rate,se,rejections,cv",
-        [[args.design, args.dgp, args.m, args.reps, args.seed, f"{args.alpha:g}",
-          args.k, f"{config.test_rho:g}", f"{result.rejection_rate:.6g}",
-          f"{result.se:.6g}", result.rejections, f"{result.critical_value.cv:.6g}"]],
-    )
-    _emit(args, text, obj, csv_text)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +552,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        record, grid = result if isinstance(result, tuple) else (result, None)
+        _emit(args, _render(record, args.output, grid))
+        return 0
     except (StcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

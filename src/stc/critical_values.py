@@ -46,6 +46,8 @@ _CV_WIDTH = 5e-5
 
 
 def _h_bar_domain(m: int) -> float:
+    if m < 4:
+        raise InvalidParameterError(f"the k = 1 closed form requires m >= 4, got {m}")
     return math.sqrt(3.0 * (m - 1) / (m * (m - 3)))
 
 
@@ -55,8 +57,6 @@ def h_bar(m: int, c: float, rho: float) -> float:
     The closed form holds at threshold c whenever h_bar(m, c, rho) <= 0.
     Defined for m >= 4, rho > 0 and c > sqrt(3(m-1)/(m(m-3))).
     """
-    if int(m) < 4:
-        raise InvalidParameterError(f"h_bar requires m >= 4, got {m}")
     if not (math.isfinite(rho) and rho > 0):
         raise InvalidParameterError(f"h_bar requires rho > 0, got {rho!r}")
     if not c > _h_bar_domain(int(m)):

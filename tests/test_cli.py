@@ -7,6 +7,7 @@ import pytest
 
 import stc.errors as errors_mod
 from stc.cli import (
+    _check_numbers,
     _f6,
     _parse_floats,
     _parse_ints,
@@ -63,14 +64,16 @@ def _run_json(capsys, argv):
 def test_cv_text_and_csv(capsys):
     code, out, _ = _run(capsys, ["cv", "--m", "5", "--alpha", "0.05", "--rho", "1"])
     assert code == 0
-    assert out.startswith("cv=3.041 method=ClosedFormK1")
+    lines = out.strip().split("\n")
+    assert "cv_rounded=3.041" in lines and "method=ClosedFormK1" in lines
     code, out, _ = _run(
         capsys, ["cv", "--m", "5", "--alpha", "0.05", "--rho", "1", "--output", "csv"]
     )
     assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "m,alpha,k,rho,one_sided,cv,method"
-    assert lines[1] == "5,0.05,1,1,0,3.041,ClosedFormK1"
+    header, row = out.strip().split("\n")
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["cv_rounded"] == "3.041" and fields["method"] == "ClosedFormK1"
+    assert fields["m"] == "5" and fields["one_sided"] == "false"
 
 
 def test_cv_optimized_k2(capsys):
@@ -124,6 +127,12 @@ def test_max_alpha_grid(capsys):
     obj = _run_json(capsys, ["max-alpha", "--ms", "5", "--rhos", "1"])
     assert obj[0]["percent"] == pytest.approx(9.46, abs=5e-3)
     assert obj[0]["alpha_underline"] == pytest.approx(0.0945, abs=2e-4)
+
+
+def test_max_alpha_below_m4_is_a_parameter_error(capsys):
+    code, out, err = _run(capsys, ["max-alpha", "--ms", "3", "--rhos", "1"])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "m >= 4" in err
 
 
 # ------------------------------------------------- pvalue / test / ci
@@ -305,6 +314,90 @@ def test_simulate_twfe_smoke(capsys):
     )
     assert obj["rho"] == 1.5  # matched restriction defaults to the DGP scale
     assert 0.0 <= obj["rejection_rate"] <= 1.0
+
+
+# --------------------------------------------------------------- records
+
+
+def _fields(value, name=""):
+    """(path, scalar) pairs of a JSON value: keys joined by '.', list items by index."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [(name, value)]
+    return [pair for key, item in items
+            for pair in _fields(item, f"{name}.{key}" if name else str(key))]
+
+
+_DATA = ["--design", "did", "--treated", "t", "--post-start", "2"]
+_PANEL = ("design treated m alpha k rho sided delta_hat t_stat control_sd cv method p_value"
+          " ci.0 ci.1 reject degenerate worst_case.value worst_case.achieving.kind")
+_BOUNDARY = _PANEL + " worst_case.achieving.m1 worst_case.achieving.m0 worst_case.achieving.gamma"
+_ZERO_TREATED = _PANEL + " worst_case.achieving.active_controls"
+_SIMULATE = ["simulate", "--design", "normal", "--dgp", "1", "--m", "5",
+             "--reps", "200", "--seed", "1"]
+
+# the JSON field paths of every subcommand, in order; DATA stands for the
+# DiD panel (m = 3, t = 3) and its design flags
+_JSON_PATHS = {
+    "cv": (["cv", "--m", "5", "--rho", "1"],
+           "m alpha k rho one_sided cv cv_rounded method worst_case_at_cv iterations"),
+    "cv-one-sided": (["cv", "--m", "5", "--alpha", "0.025", "--rho", "1", "--one-sided"],
+                     "m alpha k rho one_sided cv cv_rounded method worst_case_at_cv iterations"),
+    "max-alpha": (["max-alpha", "--ms", "5", "--rhos", "1,2"],
+                  "0.m 0.rho 0.alpha_underline 0.percent 1.m 1.rho 1.alpha_underline 1.percent"),
+    "pvalue": (["pvalue", "DATA", "--rho", "1"],
+               "design treated m k rho sided delta_hat t_stat p_value"),
+    "test-boundary": (["test", "DATA", "--rho", "1"], _BOUNDARY),
+    "test-one-sided": (["test", "DATA", "--rho", "1", "--one-sided", "greater"], _BOUNDARY),
+    "test-zero-treated": (["test", "DATA", "--rho", "0"], _ZERO_TREATED),
+    "ci": (["ci", "DATA", "--rho", "1"], "design treated m alpha k rho delta_hat ci.0 ci.1"),
+    "rho-frontier": (["rho-frontier", "DATA"],
+                     "design treated m t_stat" + "".join(
+                         f" frontier.{i}.alpha frontier.{i}.k frontier.{i}.rho_hat"
+                         for i in range(3))),
+    "table": (["table", "--alphas", "0.05", "--ms", "5", "--rhos", "1"],
+              "0.alpha 0.m 0.rho 0.k 0.cv 0.method"),
+    "simulate": (_SIMULATE,
+                 "design dgp m reps seed alpha k rho rejection_rate se rejections cv method"),
+}
+
+
+def _argv(case, did_csv):
+    argv, _ = _JSON_PATHS[case]
+    return [arg for a in argv for arg in (["--data", did_csv, *_DATA] if a == "DATA" else [a])]
+
+
+@pytest.mark.parametrize("case", list(_JSON_PATHS))
+def test_json_field_paths_are_pinned(capsys, did_csv, case):
+    obj = _run_json(capsys, _argv(case, did_csv))
+    assert [path for path, _ in _fields(obj)] == _JSON_PATHS[case][1].split()
+    if case.startswith("test"):
+        kind = "ZeroTreated" if case == "test-zero-treated" else "Boundary"
+        assert obj["worst_case"]["achieving"]["kind"] == kind
+
+
+@pytest.mark.parametrize(
+    "case", ["cv", "pvalue", "test-boundary", "test-zero-treated", "ci", "simulate"]
+)
+def test_csv_and_text_carry_every_json_field(capsys, did_csv, case):
+    argv = _argv(case, did_csv)
+    obj = _run_json(capsys, argv)
+    fields = dict(_fields(obj))
+    code, out, _ = _run(capsys, argv + ["--output", "csv"])
+    assert code == 0
+    header, row = out.rstrip("\n").split("\n")
+    assert header.split(",") == list(fields)
+    code, text, _ = _run(capsys, argv)
+    assert code == 0
+    lines = dict(line.split("=", 1) for line in text.rstrip("\n").split("\n"))
+    assert list(lines) == list(fields)
+    assert list(lines.values()) == row.split(",")
+    for path, value in fields.items():
+        if isinstance(value, float):
+            assert float(lines[path]) == pytest.approx(value, rel=1e-5)
 
 
 # ------------------------------------------------------ files and errors
@@ -524,6 +617,33 @@ def test_parse_floats_and_ints():
         _parse_ints("1.5,2")
     with pytest.raises(InvalidParameterError):
         _parse_floats("a,b")
+
+
+@pytest.mark.parametrize(
+    "token,via_cli",
+    [
+        ("0:inf:1", True),  # overflowed building the range
+        ("1:2:inf", True),  # gave [nan]
+        ("-inf:0:1", True),
+        ("nan:1:1", True),
+        ("1,nan", True),
+        (",", True),  # gave an empty grid
+        ("", True),
+        ("0:1:1e-9", False),  # 1e9 points: checked, never built
+        ("0:1e300:1e-300", False),
+        ("0:10000:1", False),  # 10,001 points
+    ],
+)
+def test_number_lists_are_checked_before_they_are_built(capsys, token, via_cli):
+    with pytest.raises(InvalidParameterError):
+        _check_numbers(token)
+    if via_cli:
+        with pytest.raises(InvalidParameterError):
+            _parse_floats(token)
+        assert main(["max-alpha", "--ms", "5", "--rhos", token]) == 2
+        assert main(["max-alpha", "--ms", token, "--rhos", "1"]) == 2
+        assert capsys.readouterr().out == ""
+    assert _check_numbers("0:9999:1") == ([0.0, 9999.0, 1.0], 10_000)
 
 
 def test_f6_formatting():

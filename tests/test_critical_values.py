@@ -66,6 +66,14 @@ def test_h_bar_domain_checks():
         h_bar(4, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_closed_form_validity_needs_m_at_least_4(m):
+    # at m = 3 the domain edge divided by zero, at m = 2 it took a negative sqrt
+    for validity in (alpha_underline, c_underline):
+        with pytest.raises(InvalidParameterError, match="m >= 4"):
+            validity(m, 1.0)
+
+
 def test_c_underline_is_the_sign_change():
     for m, rho in ((4, 1.0), (6, 0.5), (10, 2.0), (25, 1.0)):
         c = c_underline(m, rho)

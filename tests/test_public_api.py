@@ -53,3 +53,33 @@ def test_worst_case_kernel_calls_go_through_the_module_seam(monkeypatch):
     for args in seen:
         assert np.ndim(args[0]) == 2
         assert isinstance(args[2], stc.QuadratureSettings)
+
+
+def test_cli_calls_go_through_the_module_seams(monkeypatch, tmp_path, capsys):
+    # tracers also wrap these stc.cli names: each panel command must call its
+    # reader, extractor and inference entry through them, once each
+    import stc.cli
+
+    path = tmp_path / "panel.csv"
+    path.write_text("cluster,time,outcome\n"
+                    "a,1,0\na,2,1\nb,1,0\nb,2,2\nc,1,0\nc,2,3\nt,1,0\nt,2,5\n")
+    calls = []
+
+    def counted(name):
+        original = getattr(stc.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("read_panel_csv", "extract", "run_test", "rho_frontier"):
+        monkeypatch.setattr(stc.cli, name, counted(name))
+    data = ["--data", str(path), "--design", "did", "--treated", "t",
+            "--post-start", "2", "--output", "json"]
+    assert stc.cli.main(["test", *data, "--rho", "1"]) == 0
+    assert calls == ["read_panel_csv", "extract", "run_test"]
+    calls.clear()
+    assert stc.cli.main(["rho-frontier", *data]) == 0
+    assert calls == ["read_panel_csv", "extract", "rho_frontier"]
+    assert capsys.readouterr().err == ""
