@@ -73,7 +73,6 @@ from .worstcase import (
     WorstCaseResult,
     ZeroTreated,
     p_max,
-    p_max_all_k,
     p_zero_treated,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "Boundary",
     "ZeroTreated",
     "p_max",
-    "p_max_all_k",
     "p_zero_treated",
     # critical values
     "CriticalValueResult",

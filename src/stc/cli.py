@@ -410,7 +410,7 @@ def _cmd_rho_frontier(args) -> dict:
 
 def _cmd_table(args) -> tuple[list[dict], str]:
     table = generate_table(args.alphas, args.ms, args.rhos, args.k, workers=_workers(args))
-    return json.loads(table.to_json()), table.to_csv()
+    return table.records(), table.to_csv()
 
 
 def _cmd_simulate(args) -> dict:

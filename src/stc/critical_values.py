@@ -296,8 +296,8 @@ class Table:
                 lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        """Records with 3-decimal cells; stable field order."""
+    def records(self) -> list[dict]:
+        """One dict per cell with a 3-decimal cv; stable field order."""
         records = []
         for cell in self.cells:
             rec: dict = {"alpha": cell.alpha, "m": cell.m, "rho": cell.rho, "k": self.k}
@@ -307,7 +307,11 @@ class Table:
             else:
                 rec["error"] = cell.error
             records.append(rec)
-        return json.dumps(records, indent=2)
+        return records
+
+    def to_json(self) -> str:
+        """`records` as indented JSON."""
+        return json.dumps(self.records(), indent=2)
 
 
 def _table_cell(args: tuple) -> TableCell:

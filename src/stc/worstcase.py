@@ -11,18 +11,20 @@ two-sided t-test at threshold c is attained either
     m - m1 - m0 at a common free value gamma (`p_bar`), maximized over
     gamma (`p_tilde`).
 
-`p_max` takes the maximum over all such branches.  Each branch is a cheap
-one-dimensional maximization (log-spaced grid, then golden-section
-refinement); at most k*(2m+1-k)/2 of them are needed for one (k, rho), and
-a memo keyed by (m1, m0, gamma-domain) lets an all-k sweep share work.
-Boundary rows reach the tail kernel as three (value, count) groups
-(`_boundary_rows`), so a kernel evaluation costs the same at every m.  One
-optimizer, `_optimize_gamma_branches`, runs that search for a group of
-branches in lock-step, so that each golden-section iteration costs one
-vectorized tail evaluation for the whole group; `p_max` calls it on growing
-groups and `p_tilde` on a single branch.  The tail kernel's values do not
-depend on the batch a row is evaluated in, so a branch's trace is the same
-either way.
+`p_max` takes the maximum over all such branches; at most k*(2m+1-k)/2 of
+them are needed for one (k, rho).  Each branch is a cheap one-dimensional
+maximization: a log grid of 4 points a decade, then Brent's method from
+every peak of that grid.  A branch has at most one interior local maximum,
+but either domain end can be a second or third one, so the search refines
+each grid peak rather than the argmax alone (tests/test_worstcase.py checks
+both facts against a dense sweep).  Boundary rows reach the tail kernel as
+three (value, count) groups (`_boundary_rows`), so a kernel evaluation
+costs the same at every m.  One optimizer, `_optimize_gamma_branches`, runs
+that search for a group of branches in lock-step, so that each Brent step
+costs one vectorized tail evaluation for the whole group; `p_max` calls it
+on growing groups and `p_tilde` on a single branch.  The tail kernel's
+values do not depend on the batch a row is evaluated in, so a branch's
+trace is the same either way.
 """
 from __future__ import annotations
 
@@ -45,12 +47,11 @@ __all__ = [
     "p_bar",
     "p_tilde",
     "p_max",
-    "p_max_all_k",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GRID_POINTS = 60
-_GOLDEN_REL_TOL = 1e-6
+_GRID_POINTS_PER_DECADE = 4
+_BRENT_REL_TOL = 1e-6
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 # Search probes run on a coarse 16-panel rule, because probes dominate the
 # runtime.  Against a 30-digit oracle on 2,000 rows sampled like the search's
 # own (tests/test_quadrature_oracle.py), probes were within 1.5e-8 of the
@@ -230,10 +231,10 @@ def p_bar(
 
 
 def _gamma_candidates(rho: float, rho_lower: float, m1: int) -> np.ndarray:
-    """Log-spaced grid over the free-ratio domain, boundary point included."""
-    gamma_max = 1e4 * max(1.0, 1.0 / rho)
-    grid = np.geomspace(max(rho_lower, 1e-6), gamma_max, _GRID_POINTS)
-    candidates = np.unique(np.concatenate([[rho_lower], grid]))
+    """Log grid over the free-ratio domain, 4 points a decade, ends included."""
+    lower, gamma_max = max(rho_lower, 1e-6), 1e4 * max(1.0, 1.0 / rho)
+    n = math.ceil(_GRID_POINTS_PER_DECADE * math.log10(gamma_max / lower) - 1e-9) + 1
+    candidates = np.unique(np.concatenate([[rho_lower], np.geomspace(lower, gamma_max, n)]))
     if candidates[0] == 0.0 and m1 == 0:
         candidates = candidates[1:]  # gamma = 0 with no rho^{-1} entries is degenerate
     return candidates
@@ -281,6 +282,64 @@ def _branch_order(m: int, k: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _brent_max(a: float, x: float, b: float, fx: float):
+    """Brent's parabolic-plus-golden search for a maximum in [a, b] from x.
+
+    A generator: it yields each probe gamma, is sent the probe's value, and
+    returns the best gamma found once the bracket around it is at most
+    1e-6*max(|x|, 1e-9) wide.  ``fx`` is the value at x, so the start costs
+    nothing.  x may be a domain end (a == x or x == b); the first probe is
+    then one minimal step inside, and if it is no better the search ends
+    there.  A probe that only ties x does not replace it, so a flat stretch
+    shrinks the bracket toward x.  Brent (1973), ch. 5, written for a maximum.
+    """
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol = 0.25 * _BRENT_REL_TOL * max(abs(x), 1e-9)
+        if max(x - a, b - x) <= 2.0 * tol:
+            return x
+        golden = True
+        if x == a or x == b:  # a domain end: one minimal step inside first
+            d = math.copysign(tol, mid - x)
+            golden = False
+        elif abs(e) > tol:  # try a parabola through x, w and v
+            r = (x - w) * (fv - fx)
+            q = (x - v) * (fw - fx)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                    d = math.copysign(tol, mid - x)
+        if golden:
+            e = (a - x) if x >= mid else (b - x)
+            d = _GOLDEN_STEP * e
+        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
+        fu = yield u
+        if fu > fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def _optimize_gamma_branches(
     m: int,
     c: float,
@@ -290,13 +349,15 @@ def _optimize_gamma_branches(
 ) -> tuple[list[BranchTrace], BranchTrace | None]:
     """Maximize p_bar over gamma for several (m1, m0) branches in lock-step.
 
-    Each branch runs a log-spaced grid on the probe rule, then golden-section
-    refinement around the grid argmax, then one evaluation of the best gamma
-    on the default rule; every branch's probe points share one
-    vectorized kernel call per step.  Returns (traces, early): either every
-    branch finished (`early` is None) or the grid phase already certified a
-    value above ``stop_above`` and `early` carries that single confirmed
-    trace (traces is then empty and nothing should be memoized).
+    Each branch evaluates its grid (`_gamma_candidates`) on the probe rule,
+    then runs Brent's method (`_brent_max`) from every grid peak, bracketed
+    by the peak's two neighbours, then evaluates each search's result on the
+    default rule and reports the best.  Every step evaluates one probe per
+    unfinished search in a single kernel call; a search's probes depend only
+    on its own values, so a branch's trace is the same in any group.
+    Returns (traces, early): either every branch finished (`early` is None)
+    or the grid phase already certified a value above ``stop_above`` and
+    `early` carries that single confirmed trace (traces is then empty).
     """
     n = len(branches)
     m1s, m0s, _ = (np.array(col) for col in zip(*branches))
@@ -305,81 +366,62 @@ def _optimize_gamma_branches(
         values, counts = _boundary_rows(m, rho, m1s[idx], m0s[idx], gammas)
         return _tails_for_gamma_rows(values, c, rule, counts=counts)
 
-    cand_sets = [_gamma_candidates(rho, rl, m1) for (m1, m0, rl) in branches]
+    domains = {(rl, m1 == 0): (rl, m1) for m1, _, rl in branches}  # shared grids
+    grids = {key: _gamma_candidates(rho, *args) for key, args in domains.items()}
+    cand_sets = [grids[rl, m1 == 0] for m1, _, rl in branches]
     n_evals = np.array([cs.size for cs in cand_sets])
     offsets = np.concatenate([[0], np.cumsum(n_evals)])
-    grid_vals = tails(
-        np.repeat(np.arange(n), n_evals), np.concatenate(cand_sets), _PROBE_SETTINGS
-    )
-
-    best_gamma = np.empty(n)
-    best_val = np.empty(n)
-    a = np.empty(n)
-    b = np.empty(n)
-    for i, cs in enumerate(cand_sets):
-        vals = grid_vals[offsets[i] : offsets[i + 1]]
-        j = int(np.argmax(vals))
-        best_gamma[i] = cs[j]
-        best_val[i] = vals[j]
-        a[i] = cs[j - 1] if j > 0 else cs[0]
-        b[i] = cs[j + 1] if j + 1 < cs.size else cs[-1]
+    gammas = np.concatenate(cand_sets)
+    grid_vals = tails(np.repeat(np.arange(n), n_evals), gammas, _PROBE_SETTINGS)
 
     if stop_above is not None:
-        i = int(np.argmax(best_val))
-        if best_val[i] > stop_above:
+        top = int(np.argmax(grid_vals))
+        if grid_vals[top] > stop_above:
+            i = int(np.searchsorted(offsets, top, side="right")) - 1
             m1, m0, rl = branches[i]
-            confirmed = float(tails(i, best_gamma[i], DEFAULT_SETTINGS)[0])
+            confirmed = float(tails(i, gammas[top], DEFAULT_SETTINGS)[0])
             if confirmed > stop_above:
-                early = BranchTrace(
-                    m1, m0, rl, float(best_gamma[i]), confirmed, int(n_evals[i]) + 1
-                )
+                early = BranchTrace(m1, m0, rl, float(gammas[top]), confirmed, int(n_evals[i]) + 1)
                 return [], early
-            best_val[i] = confirmed
 
-    # golden-section refinement, all branches advanced one probe per sweep
-    has_bracket = b > a
-    x1 = np.where(has_bracket, b - _INVPHI * (b - a), best_gamma)
-    x2 = np.where(has_bracket, a + _INVPHI * (b - a), best_gamma)
-    f1 = np.full(n, -np.inf)
-    f2 = np.full(n, -np.inf)
-    start = np.nonzero(has_bracket)[0]
-    if start.size:
-        pts = np.concatenate([x1[start], x2[start]])
-        vals = tails(np.concatenate([start, start]), pts, _PROBE_SETTINGS)
-        f1[start] = vals[: start.size]
-        f2[start] = vals[start.size :]
-        n_evals[start] += 2
-    while True:
-        active = has_bracket & ((b - a) > _GOLDEN_REL_TOL * np.maximum(0.5 * (a + b), 1e-9))
-        if not active.any():
-            break
-        ia = np.nonzero(active)[0]
-        left = f1[ia] >= f2[ia]
-        il, ir = ia[left], ia[~left]
-        b[il] = x2[il]
-        x2[il] = x1[il]
-        f2[il] = f1[il]
-        x1[il] = b[il] - _INVPHI * (b[il] - a[il])
-        a[ir] = x1[ir]
-        x1[ir] = x2[ir]
-        f1[ir] = f2[ir]
-        x2[ir] = a[ir] + _INVPHI * (b[ir] - a[ir])
-        pts = np.concatenate([x1[il], x2[ir]])
-        vals = tails(np.concatenate([il, ir]), pts, _PROBE_SETTINGS)
-        f1[il] = vals[: il.size]
-        f2[ir] = vals[il.size :]
-        n_evals[ia] += 1
-        for fv, xv in ((f1, x1), (f2, x2)):
-            upd = active & (fv > best_val)
-            best_val[upd] = fv[upd]
-            best_gamma[upd] = xv[upd]
+    owners, searches = [], []  # one Brent search per peak of a branch's grid
+    for i, cs in enumerate(cand_sets):
+        vals = grid_vals[offsets[i] : offsets[i + 1]]
+        rise = np.concatenate([[True], vals[1:] > vals[:-1]])
+        fall = np.concatenate([vals[:-1] >= vals[1:], [True]])
+        for p in np.flatnonzero(rise & fall):  # the grid argmax is always one
+            a, b = cs[max(p - 1, 0)], cs[min(p + 1, cs.size - 1)]
+            owners.append(i)
+            searches.append(_brent_max(a, cs[p], b, vals[p]))
+    owners = np.array(owners)
 
-    final_vals = tails(np.arange(n), best_gamma, DEFAULT_SETTINGS)
-    n_evals += 1
-    traces = [
-        BranchTrace(m1, m0, rl, float(g), float(v), int(ne))
-        for (m1, m0, rl), g, v, ne in zip(branches, best_gamma, final_vals, n_evals)
-    ]
+    probes: dict[int, float] = {}
+    finals = np.empty(len(searches))
+
+    def advance(s: int, value: float | None) -> None:
+        try:
+            probes[s] = searches[s].send(value)
+        except StopIteration as done:
+            finals[s] = done.value
+
+    for s in range(len(searches)):
+        advance(s, None)
+    while probes:
+        idx = np.fromiter(probes, dtype=int)
+        vals = tails(owners[idx], np.fromiter(probes.values(), dtype=float), _PROBE_SETTINGS)
+        probes.clear()
+        np.add.at(n_evals, owners[idx], 1)
+        for s, v in zip(idx, vals):
+            advance(int(s), float(v))
+
+    final_vals = tails(owners, finals, DEFAULT_SETTINGS)
+    np.add.at(n_evals, owners, 1)
+    traces = []
+    for i, (m1, m0, rl) in enumerate(branches):
+        mine = np.flatnonzero(owners == i)
+        s = mine[int(np.argmax(final_vals[mine]))]
+        gamma, value = float(finals[s]), float(final_vals[s])
+        traces.append(BranchTrace(m1, m0, rl, gamma, value, int(n_evals[i])))
     return traces, None
 
 
@@ -388,7 +430,6 @@ def p_max(
     c: float,
     spec: HeterogeneitySpec,
     stop_above: float | None = None,
-    _memo: dict | None = None,
 ) -> WorstCaseResult:
     """Maximum rejection probability over the (k, rho) feasible set.
 
@@ -423,104 +464,49 @@ def p_max(
             diagnostics=WorstCaseDiagnostics(False, p0, j0, ()),
         )
 
-    memo = _memo if _memo is not None else {}
     order = _branch_order(m, k)
+    pending = [(m1, m0, 0.0 if m1 >= m - k + 1 else 1.0 / rho) for m1, m0 in order]
     trace_map: dict[tuple[int, int], BranchTrace] = {}
-    pending_fixed: list[tuple[int, int, float]] = []
-    pending_gamma: list[tuple[int, int, float]] = []
-    for m1, m0 in order:
-        rho_lower = 0.0 if m1 >= m - k + 1 else 1.0 / rho
-        trace = memo.get((m1, m0, rho_lower))
-        if trace is not None:
-            trace_map[(m1, m0)] = trace
-        elif m1 + m0 == m:
-            pending_fixed.append((m1, m0, rho_lower))
-        else:
-            pending_gamma.append((m1, m0, rho_lower))
 
-    def result(value: float, achieving, complete: bool) -> WorstCaseResult:
-        branches = tuple(
-            trace_map[pair] for pair in order if pair in trace_map
-        )
-        return WorstCaseResult(
-            value=value,
-            achieving_config=achieving,
-            diagnostics=WorstCaseDiagnostics(False, p0, j0, branches, complete),
-        )
+    def result(best: BranchTrace | None, complete: bool) -> WorstCaseResult:
+        """The boundary trace ``best``, or the zero-treated case when None."""
+        branches = tuple(trace_map[pair] for pair in order if pair in trace_map)
+        diagnostics = WorstCaseDiagnostics(False, p0, j0, branches, complete)
+        if best is None:
+            return WorstCaseResult(p0, ZeroTreated(j=j0), diagnostics)
+        return WorstCaseResult(best.value, Boundary(best.m1, best.m0, best.gamma), diagnostics)
 
-    def boundary_result(trace: BranchTrace, complete: bool) -> WorstCaseResult:
-        achieving = Boundary(m1=trace.m1, m0=trace.m0, gamma=trace.gamma)
-        return result(trace.value, achieving, complete)
+    def batches():
+        # fixed configurations (no free ratio) are single evaluations; they
+        # also contain the usual maximizer, so they run first to seed early
+        # exits
+        fixed = [br for br in pending if br[0] + br[1] == m]
+        if fixed:
+            m1s, m0s, _ = zip(*fixed)
+            values, counts = _boundary_rows(m, rho, m1s, m0s, 0.0)
+            vals = _tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)
+            yield [
+                BranchTrace(m1, m0, rl, None, float(v), 1) for (m1, m0, rl), v in zip(fixed, vals)
+            ]
+        # free-ratio branches in ramped group sizes: a tiny first group keeps
+        # the certify-early path cheap, large later groups keep the batch
+        # kernel busy
+        free = [br for br in pending if br[0] + br[1] < m]
+        assert len(free) <= k * (2 * m + 1 - k) // 2
+        pos, size = 0, 1
+        while pos < len(free):
+            traces, early = _optimize_gamma_branches(m, c, rho, free[pos : pos + size], stop_above)
+            yield traces if early is None else [early]
+            pos, size = pos + size, min(4 * size, 48)
 
     if stop_above is not None and p0 > stop_above:
-        return result(p0, ZeroTreated(j=j0), False)
-
-    best_trace: BranchTrace | None = None
-    for trace in trace_map.values():
-        if best_trace is None or trace.value > best_trace.value:
-            best_trace = trace
-    if stop_above is not None and best_trace is not None and best_trace.value > stop_above:
-        return boundary_result(best_trace, False)
-
-    def absorb(new_traces: list[BranchTrace]) -> BranchTrace | None:
-        nonlocal best_trace
-        for trace in new_traces:
-            memo[(trace.m1, trace.m0, trace.rho_lower)] = trace
+        return result(None, False)
+    best: BranchTrace | None = None
+    for batch in batches():
+        for trace in batch:
             trace_map[(trace.m1, trace.m0)] = trace
-            if best_trace is None or trace.value > best_trace.value:
-                best_trace = trace
-        if stop_above is not None and best_trace is not None:
-            if best_trace.value > stop_above:
-                return best_trace
-        return None
-
-    # fixed configurations (no free ratio) are single evaluations; they also
-    # contain the usual maximizer, so they run first to seed early exits
-    if pending_fixed:
-        m1s, m0s, _ = zip(*pending_fixed)
-        values, counts = _boundary_rows(m, rho, m1s, m0s, 0.0)
-        vals = _tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)
-        exceeded = absorb(
-            [
-                BranchTrace(m1, m0, rl, None, float(v), 1)
-                for (m1, m0, rl), v in zip(pending_fixed, vals)
-            ]
-        )
-        if exceeded is not None:
-            return boundary_result(exceeded, False)
-
-    # free-ratio branches in ramped group sizes: a tiny first group keeps the
-    # certify-early path cheap, large later groups keep the batch kernel busy
-    n_opt = 0
-    pos, group_size = 0, 1
-    while pos < len(pending_gamma):
-        group = pending_gamma[pos : pos + group_size]
-        traces, early = _optimize_gamma_branches(m, c, rho, group, stop_above)
-        if early is not None:
-            trace_map[(early.m1, early.m0)] = early  # not memoized: bound only
-            return boundary_result(early, False)
-        n_opt += len(group)
-        exceeded = absorb(traces)
-        if exceeded is not None:
-            return boundary_result(exceeded, False)
-        pos += group_size
-        group_size = min(4 * group_size, 48)
-    assert n_opt <= k * (2 * m + 1 - k) // 2
-
-    if best_trace is not None and best_trace.value >= p0:
-        return boundary_result(best_trace, True)
-    return result(p0, ZeroTreated(j=j0), True)
-
-
-def p_max_all_k(m: int, c: float, rho: float) -> tuple[WorstCaseResult, ...]:
-    """p_max for every k in 1..m at fixed (m, c, rho), sharing branch work.
-
-    The branch memo is keyed by (m1, m0, gamma-domain lower end), so the
-    full sweep solves at most m*(m+1) distinct one-dimensional problems.
-    """
-    m, c = _validate_mc(m, c)
-    memo: dict = {}
-    return tuple(
-        p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho), _memo=memo)
-        for k in range(1, m + 1)
-    )
+            if best is None or trace.value > best.value:
+                best = trace
+        if stop_above is not None and best is not None and best.value > stop_above:
+            return result(best, False)
+    return result(best if best is not None and best.value >= p0 else None, True)

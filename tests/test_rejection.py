@@ -88,7 +88,7 @@ def test_batch_rows_match_single_calls():
     for i in range(rows.shape[0]):
         # bit-exact: a row's value must not depend on the batch around it
         assert batch[i] == rejection_probability(GammaConfig(rows[i], c))
-    # the same for grouped rows, which the lock-step golden section relies on
+    # the same for grouped rows, which the lock-step grid and Brent search rely on
     m1 = rng.integers(1, 10, size=40)
     m0 = rng.integers(0, 10 - m1)
     values, counts = _boundary_rows(9, 1.5, m1, m0, rng.uniform(0.0, 3.0, size=40))
