@@ -145,14 +145,29 @@ def _parse_field(path: str, number: int, name: str, field: str):
 
 
 def write_panel_csv(path: str, cluster, outcome, time=None, unit=None, c=None) -> None:
-    """Write columns in the canonical header order, omitting absent ones."""
+    """Write columns in the canonical header order, omitting absent ones.
+
+    Ids holding commas, quotes or line breaks are quoted.  An id that
+    ``read_panel_csv`` would read differently (empty, padded with spaces,
+    or a cluster id starting with '#', which marks a comment line) raises
+    InvalidParameterError instead of writing a file that reads back wrong.
+    """
     named = [("cluster", cluster), ("unit", unit), ("time", time),
              ("outcome", outcome), ("c", c)]
     present = [(name, np.asarray(col)) for name, col in named if col is not None]
+    for name, col in present:
+        if name in ("cluster", "unit"):
+            ids = col.astype(str)
+            bad = (ids == "") | (np.char.strip(ids) != ids)
+            if name == "cluster":
+                bad |= np.char.startswith(ids, "#")
+            if bad.any():
+                raise InvalidParameterError(
+                    f"{name} id {str(ids[np.argmax(bad)])!r} would not read back from the CSV")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(name for name, _ in present) + "\n")
-        for i in range(present[0][1].size):
-            fh.write(",".join(_format_cell(col[i]) for _, col in present) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(name for name, _ in present)
+        writer.writerows(zip(*(map(_format_cell, col) for _, col in present)))
 
 
 def _format_cell(value) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .distributions import normal_quantile, t_quantile, t_two_sided_tail
-from .errors import InvalidParameterError, NoValidCriticalValueError, StcError
+from .errors import InvalidParameterError, NoValidCriticalValueError, StcError, as_integer
 from .worstcase import HeterogeneitySpec, WorstCaseResult, p_max
 
 __all__ = [
@@ -174,7 +174,7 @@ def critical_value(
     """
     if not (0.0 < alpha < 0.5):
         raise InvalidParameterError(f"alpha must lie in (0, 0.5), got {alpha!r}")
-    m = int(m)
+    m = as_integer("m", m)
     if spec.m != m:
         raise InvalidParameterError(f"spec.m={spec.m} does not match m={m}")
     k, rho = spec.k, spec.rho

@@ -19,6 +19,18 @@ __all__ = [
 ]
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an int; InvalidParameterError unless ``int(value) == value``,
+    so a count such as 2.9 is refused instead of truncated."""
+    try:
+        integral = bool(int(value) == value)
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class StcError(Exception):
     """Base class for all package errors."""
 

@@ -24,7 +24,7 @@ from .critical_values import (
     one_sided_critical_value,
 )
 from .distributions import normal_cdf, normal_quantile
-from .errors import InvalidParameterError, NumericalFailureError
+from .errors import InvalidParameterError, NumericalFailureError, as_integer
 from .worstcase import HeterogeneitySpec, p_max, p_zero_treated
 
 __all__ = [
@@ -299,8 +299,8 @@ def large_m_approx_power(
     sqrt(mean control variance) — the large-m critical value under the most
     adverse feasible configuration.  A guide for planning, not a guarantee.
     """
-    m = int(m)
-    if m < 2 or not 1 <= int(k) <= m:
+    m, k = as_integer("m", m), as_integer("k", k)
+    if m < 2 or not 1 <= k <= m:
         raise InvalidParameterError(f"need m >= 2 and 1 <= k <= m, got m={m}, k={k}")
     sigma_treated = float(sigma_treated)
     if not math.isfinite(sigma_treated) or sigma_treated <= 0:
@@ -319,7 +319,7 @@ def large_m_approx_power(
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
     z = float(normal_quantile(1.0 - alpha / 2.0))
     avg_control_var = float(np.mean(sig**2))
-    threshold = math.sqrt(m * rho * rho / (m - int(k) + 1.0) * avg_control_var) * z
+    threshold = math.sqrt(m * rho * rho / (m - k + 1.0) * avg_control_var) * z
     upper = 1.0 - float(normal_cdf((threshold - delta) / sigma_treated))
     lower = float(normal_cdf((-threshold - delta) / sigma_treated))
     return upper + lower

@@ -7,8 +7,12 @@ Two families of data-generating processes are provided:
     (dgp 2); the treated estimate is N(delta, rho^2).
   * Twfe — a two-way fixed-effects panel with AR(1) errors whose
     innovations are normal, normalized chi-square(2), or uniform, with the
-    treated cluster's innovation scale multiplied by sigma; effects are
-    re-extracted per cluster exactly as the designs module does.
+    treated cluster's innovation scale multiplied by sigma.  Each cluster's
+    effect is the post-minus-pre mean difference the designs module's
+    TwoWayFE extractor computes.  That estimate is a fixed linear map of the
+    cluster's innovations, so it is computed as one product of the draws
+    with a per-design weight vector, without building the panel; tests
+    check it against the full panels ``_twfe_outcomes`` builds.
 
 Randomness is counter-based: replication r reads from a Philox stream
 keyed by (seed, r // chunk), at a fixed offset within the chunk, so every
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .critical_values import CriticalValueResult, critical_value
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, as_integer
 from .worstcase import HeterogeneitySpec
 
 __all__ = [
@@ -68,7 +72,7 @@ class NormalMeansDesign:
     def __post_init__(self):
         if self.dgp not in (1, 2):
             raise InvalidParameterError(f"NormalMeans dgp must be 1 or 2, got {self.dgp}")
-        if int(self.m) < 2:
+        if as_integer("m", self.m) < 2:
             raise InvalidParameterError(f"m must be >= 2, got {self.m}")
         if not (math.isfinite(self.rho) and self.rho >= 0):
             raise InvalidParameterError(f"rho must be finite and >= 0, got {self.rho}")
@@ -110,17 +114,19 @@ class TwfeDesign:
     def __post_init__(self):
         if self.dgp not in (1, 2, 3, 4, 5):
             raise InvalidParameterError(f"Twfe dgp must be in 1..5, got {self.dgp}")
-        if int(self.m) < 2:
+        m, periods = as_integer("m", self.m), as_integer("periods", self.periods)
+        intervention = as_integer("intervention", self.intervention)
+        if m < 2:
             raise InvalidParameterError(f"m must be >= 2, got {self.m}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
         if not math.isfinite(self.theta):
             raise InvalidParameterError("theta must be finite")
-        if not 1 <= int(self.intervention) < int(self.periods):
+        if not 1 <= intervention < periods:
             raise InvalidParameterError("intervention must leave both pre and post periods")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "periods", int(self.periods))
-        object.__setattr__(self, "intervention", int(self.intervention))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "intervention", intervention)
 
     @property
     def eta(self) -> float:
@@ -152,10 +158,11 @@ class MCConfig:
     rho: float | None = None
 
     def __post_init__(self):
-        if int(self.reps) < 1:
+        reps = as_integer("reps", self.reps)
+        if reps < 1:
             raise InvalidParameterError(f"reps must be >= 1, got {self.reps}")
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "seed", as_integer("seed", self.seed))
 
     @property
     def test_rho(self) -> float:
@@ -188,19 +195,22 @@ def _chunks(reps: int):
 def t_statistics_from_thetas(thetas: np.ndarray) -> np.ndarray:
     """Row-wise t statistics; the last column is the treated estimate."""
     thetas = np.asarray(thetas, dtype=float)
-    controls = thetas[:, :-1]
-    diff = thetas[:, -1] - controls.mean(axis=1)
-    s = controls.std(axis=1, ddof=1)
+    m = thetas.shape[1] - 1
+    mean = thetas[:, :-1].sum(axis=1) / m
+    dev = thetas[:, :-1] - mean[:, None]
+    s = np.sqrt(np.einsum("ij,ij->i", dev, dev) / (m - 1))
+    diff = thetas[:, -1] - mean
     with np.errstate(divide="ignore", invalid="ignore"):
         t = diff / s
-        fallback = np.where(diff == 0.0, 0.0, np.sign(diff) * np.inf)
-    return np.where(s > 0.0, t, fallback)
+    # zero spread: +-inf by the sign of the difference, 0 when it is 0 too
+    t[(s == 0.0) & (diff == 0.0)] = 0.0
+    return t
 
 
 def _normal_means_thetas(rows: int, rng: np.random.Generator,
                          sigmas: np.ndarray, delta: float) -> np.ndarray:
-    z = rng.standard_normal((_CHUNK_ROWS, sigmas.size))[:rows]
-    thetas = z * sigmas
+    thetas = rng.standard_normal((_CHUNK_ROWS, sigmas.size))[:rows]
+    thetas *= sigmas
     thetas[:, -1] += delta
     return thetas
 
@@ -219,6 +229,7 @@ def normal_means_t_statistics(
         raise InvalidParameterError("need at least 2 control sigmas plus the treated sigma")
     if not np.all(np.isfinite(sigmas)) or np.any(sigmas < 0):
         raise InvalidParameterError("sigmas must be finite and >= 0")
+    reps, seed = as_integer("reps", reps), as_integer("seed", seed)
     out = np.empty(reps)
     for chunk, rows in _chunks(reps):
         rng = _chunk_generator(seed, chunk)
@@ -227,46 +238,86 @@ def normal_means_t_statistics(
     return out
 
 
-def _twfe_innovations(design: TwfeDesign, rng: np.random.Generator) -> np.ndarray:
+def _twfe_draws(design: TwfeDesign, rng: np.random.Generator) -> np.ndarray:
+    """A chunk's raw variates: normals, normal pairs (dgp 4) or uniforms (dgp 5)."""
     shape = (_CHUNK_ROWS, design.m + 1, design.periods + 1)
     if design.dgp == 4:
-        z = rng.standard_normal(shape + (2,))
-        return (np.square(z).sum(axis=-1) - 2.0) / 2.0
+        return rng.standard_normal(shape + (2,))
     if design.dgp == 5:
-        return (2.0 * rng.random(shape) - 1.0) * math.sqrt(3.0)
+        return rng.random(shape)
     return rng.standard_normal(shape)
 
 
+def _ar1_levels(v: np.ndarray, eta: float) -> np.ndarray:
+    """AR(1) levels over periods 1..P from innovations v[..., 0..P]."""
+    u = np.empty_like(v[..., 1:])
+    level = v[..., 0] / math.sqrt(1.0 - eta * eta)
+    for t in range(u.shape[-1]):
+        level = eta * level + v[..., t + 1]
+        u[..., t] = level
+    return u
+
+
 def _twfe_outcomes(design: TwfeDesign, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Panel outcomes with shape (rows, m+1, periods); treated cluster last."""
-    m, periods = design.m, design.periods
-    v = _twfe_innovations(design, rng)[:rows]
+    """Panel outcomes with shape (rows, m+1, periods); treated cluster last.
+
+    This defines the panel DGP; ``twfe_theta_hats`` reads the same draws
+    through ``_twfe_linear_map`` instead of building the panel.
+    """
+    v = _twfe_draws(design, rng)[:rows]
+    if design.dgp == 4:
+        v = (np.square(v).sum(axis=-1) - 2.0) / 2.0
+    elif design.dgp == 5:
+        v = (2.0 * v - 1.0) * math.sqrt(3.0)
     v[:, -1, :] *= design.sigma
-    eta = design.eta
-    u = np.empty_like(v[:, :, 1:])
-    level = v[:, :, 0] / math.sqrt(1.0 - eta * eta)
-    for t in range(periods):
-        level = eta * level + v[:, :, t + 1]
-        u[:, :, t] = level
-    gamma = np.where(np.arange(1, m + 2) <= m / 2.0, 1.0, -1.0)
+    u = _ar1_levels(v, design.eta)
+    gamma = np.where(np.arange(1, design.m + 2) <= design.m / 2.0, 1.0, -1.0)
     y = u + 1.0 + gamma[None, :, None]
     y[:, -1, design.intervention:] += design.theta
     return y
+
+
+def _twfe_linear_map(design: TwfeDesign) -> tuple[np.ndarray, float]:
+    """(weights, offset): a cluster's estimate before sigma and theta is
+    draws @ weights + offset.
+
+    The post-minus-pre mean of the AR(1) levels is linear in the cluster's
+    periods+1 innovations, with weights w from running the recursion on the
+    identity basis; the period and cluster effects cancel.  Dgp 4's draws
+    are squared normal pairs read flat, (z1^2 + z2^2 - 2) / 2 per period,
+    and dgp 5's are uniforms, (2U - 1) sqrt(3) per period.
+    """
+    u = _ar1_levels(np.eye(design.periods + 1), design.eta)
+    pre = design.intervention
+    w = u[:, pre:].mean(axis=1) - u[:, :pre].mean(axis=1)
+    if design.dgp == 4:
+        return np.repeat(w, 2) / 2.0, -w.sum()
+    if design.dgp == 5:
+        return 2.0 * math.sqrt(3.0) * w, -math.sqrt(3.0) * w.sum()
+    return w, 0.0
 
 
 def twfe_theta_hats(design: TwfeDesign, reps: int, seed: int) -> np.ndarray:
     """Per-cluster post/pre mean differences, shape (reps, m+1), treated last.
 
     This is the same estimator the designs extractor computes for the
-    TwoWayFE design with post_start = intervention + 1.
+    TwoWayFE design with post_start = intervention + 1.  Each estimate is
+    a fixed linear map of its cluster's innovations (``_twfe_linear_map``),
+    so no panel is built; tests check it against the post-minus-pre means
+    of the full ``_twfe_outcomes`` panels drawn from the same stream.
     """
-    pre = design.intervention
+    reps, seed = as_integer("reps", reps), as_integer("seed", seed)
+    weights, offset = _twfe_linear_map(design)
     out = np.empty((reps, design.m + 1))
     for chunk, rows in _chunks(reps):
-        rng = _chunk_generator(seed, chunk)
-        y = _twfe_outcomes(design, rows, rng)
-        theta = y[:, :, pre:].mean(axis=2) - y[:, :, :pre].mean(axis=2)
-        out[chunk * _CHUNK_ROWS:chunk * _CHUNK_ROWS + rows] = theta
+        draws = _twfe_draws(design, _chunk_generator(seed, chunk))
+        if design.dgp == 4:
+            np.square(draws, out=draws)
+        theta = draws.reshape(-1, weights.size) @ weights
+        theta += offset
+        out[chunk * _CHUNK_ROWS:chunk * _CHUNK_ROWS + rows] = theta.reshape(_CHUNK_ROWS, -1)[:rows]
+    out[:, -1] *= design.sigma
+    out[:, -1] += design.theta
     return out
 
 
@@ -314,14 +365,15 @@ def empirical_rejection_rate(
     worst-case search, just the configured normal draws against a fixed
     threshold.
     """
-    if not reps >= 1:
+    reps, seed = as_integer("reps", reps), as_integer("seed", seed)
+    if reps < 1:
         raise InvalidParameterError(f"reps must be >= 1, got {reps}")
-    t = normal_means_t_statistics(sigmas, delta, int(reps), int(seed))
+    t = normal_means_t_statistics(sigmas, delta, reps, seed)
     rejections = int(np.count_nonzero(np.abs(t) > float(c)))
     rate = rejections / reps
     return MCResult(
         rejection_rate=rate,
         se=math.sqrt(rate * (1.0 - rate) / reps),
-        reps=int(reps),
+        reps=reps,
         rejections=rejections,
     )

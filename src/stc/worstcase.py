@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import t_two_sided_tail
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, as_integer
 from .rejection import DEFAULT_SETTINGS, QuadratureSettings, _tails_for_gamma_rows
 
 __all__ = [
@@ -72,15 +72,16 @@ class HeterogeneitySpec:
     rho: float
 
     def __post_init__(self):
-        if int(self.m) < 2:
+        m, k = as_integer("m", self.m), as_integer("k", self.k)
+        if m < 2:
             raise InvalidParameterError(f"m must be >= 2, got {self.m}")
-        if not 1 <= int(self.k) <= int(self.m):
+        if not 1 <= k <= m:
             raise InvalidParameterError(f"k must lie in 1..{self.m}, got {self.k}")
         rho = float(self.rho)
         if not math.isfinite(rho) or rho < 0:
             raise InvalidParameterError(f"rho must be finite and >= 0, got {self.rho!r}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "rho", rho)
 
 
@@ -138,7 +139,7 @@ class WorstCaseResult:
 
 
 def _validate_mc(m: int, c: float) -> tuple[int, float]:
-    if int(m) < 2:
+    if as_integer("m", m) < 2:
         raise InvalidParameterError(f"m must be >= 2, got {m}")
     c = float(c)
     if not math.isfinite(c) or c <= 0:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stc.errors as errors_mod
 from stc.cli import (
@@ -600,6 +602,32 @@ def test_write_read_round_trip(tmp_path):
     assert np.array_equal(cols["outcome"], outcome)  # repr() is lossless
     assert cols["time"].tolist() == time.tolist()
     assert cols["c"] is None
+
+
+# ids mixing letters with the characters a bare "," join used to split or
+# mangle: commas, double quotes, inner spaces and line breaks
+_IDS = st.text(alphabet='ab ,"\n#', min_size=1, max_size=6).filter(
+    lambda s: s.strip() == s and not s.startswith("#"))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(clusters=st.lists(_IDS, min_size=1, max_size=5), units=st.data())
+def test_write_read_round_trip_awkward_ids(tmp_path, clusters, units):
+    unit = units.draw(st.lists(_IDS, min_size=len(clusters), max_size=len(clusters)))
+    outcome = np.linspace(-1.0, 1.0, len(clusters)) / 3.0
+    path = str(tmp_path / "ids.csv")
+    write_panel_csv(path, clusters, outcome, unit=unit)
+    cols = read_panel_csv(path)
+    assert cols["cluster"].tolist() == clusters
+    assert cols["unit"].tolist() == unit
+    assert np.array_equal(cols["outcome"], outcome)
+
+
+@pytest.mark.parametrize("bad", ["", " a", "a ", "#a"])
+def test_write_panel_csv_refuses_ids_that_would_read_back_changed(tmp_path, bad):
+    with pytest.raises(InvalidParameterError, match="would not read back"):
+        write_panel_csv(str(tmp_path / "x.csv"), ["a", bad], [1.0, 2.0])
 
 
 # -------------------------------------------------------------- helpers

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stc.critical_values import critical_value
 from stc.designs import DesignKind, PanelData, extract
 from stc.errors import InvalidParameterError
 from stc.simulate import (
@@ -17,7 +18,8 @@ from stc.simulate import (
     t_statistics_from_thetas,
     twfe_theta_hats,
 )
-from stc.simulate import _chunk_generator, _twfe_outcomes  # white-box checks
+from stc.simulate import _CHUNK_ROWS, _chunk_generator, _twfe_outcomes  # white-box checks
+from stc.worstcase import HeterogeneitySpec, p_max
 
 
 def test_design_validation():
@@ -33,6 +35,39 @@ def test_design_validation():
         TwfeDesign(dgp=1, m=5, periods=4, intervention=4)
     with pytest.raises(InvalidParameterError):
         MCConfig(design=NormalMeansDesign(dgp=1, m=5), reps=0, seed=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NormalMeansDesign(dgp=1, m=2.9),
+    lambda: TwfeDesign(dgp=1, m=4.5),
+    lambda: TwfeDesign(dgp=1, m=4, periods=10.5),
+    lambda: TwfeDesign(dgp=1, m=4, intervention=6.5),
+    lambda: MCConfig(design=NormalMeansDesign(dgp=1, m=5), reps=2.5, seed=1),
+    lambda: MCConfig(design=NormalMeansDesign(dgp=1, m=5), reps=2, seed=1.7),
+    lambda: MCConfig(design=NormalMeansDesign(dgp=1, m=5), reps=2, seed=float("nan")),
+    lambda: HeterogeneitySpec(5.5, 1, 1.0),
+    lambda: HeterogeneitySpec(5, 1.5, 1.0),
+    lambda: empirical_rejection_rate(np.ones(4), 0.0, 2.0, reps=10.5, seed=1),
+    lambda: normal_means_t_statistics(np.ones(4), 0.0, reps=2.5, seed=1),
+    lambda: normal_means_t_statistics(np.ones(4), 0.0, reps=10, seed=1.5),
+    lambda: twfe_theta_hats(TwfeDesign(dgp=1, m=4), reps=2.5, seed=1),
+    lambda: critical_value(5.5, 0.05, HeterogeneitySpec(5, 1, 1.0)),
+    lambda: p_max(5.5, 2.0, HeterogeneitySpec(5, 1, 1.0)),
+])
+def test_non_integral_counts_are_refused(make):
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        make()
+
+
+def test_integral_floats_and_numpy_integers_are_accepted():
+    config = MCConfig(design=NormalMeansDesign(dgp=1, m=np.int64(5)), reps=10.0,
+                      seed=np.uint32(3))
+    assert (config.design.m, config.reps, config.seed) == (5, 10, 3)
+    assert all(type(v) is int for v in (config.design.m, config.reps, config.seed))
+    twfe = TwfeDesign(dgp=1, m=4.0, periods=np.int32(8), intervention=5.0)
+    assert (twfe.m, twfe.periods, twfe.intervention) == (4, 8, 5)
+    spec = HeterogeneitySpec(np.int16(6), 2.0, 1.0)
+    assert (spec.m, spec.k) == (6, 2)
 
 
 def test_design_parameterizations():
@@ -55,6 +90,9 @@ def test_t_statistics_degenerate_rows():
     assert t[0] == math.inf
     assert t[1] == 0.0
     assert t[2] == 0.0
+    t = t_statistics_from_thetas(np.array([[1.0, 1.0, 1.0, -4.0], [0.0, 1.0, 2.0, 3.0]]))
+    assert t[0] == -math.inf
+    assert t[1] == pytest.approx(2.0)
 
 
 def test_bitwise_determinism_and_prefix():
@@ -100,6 +138,35 @@ def test_twfe_estimates_match_designs_extractor():
         res = extract(panel, DesignKind.TWO_WAY_FE)
         assert res.estimates.controls == pytest.approx(hats[r, :-1], abs=1e-12)
         assert res.estimates.treated == pytest.approx(hats[r, -1], abs=1e-12)
+
+
+@pytest.mark.parametrize("dgp", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("periods, intervention", [(10, 6), (7, 2)])
+def test_twfe_linear_map_matches_full_panels(dgp, periods, intervention):
+    # oracle: build every (rows, m+1, periods) panel from the same stream
+    # and take post-minus-pre means; 4,100 reps cross a chunk boundary
+    design = TwfeDesign(dgp=dgp, m=4, sigma=1.7, theta=-0.6, periods=periods,
+                        intervention=intervention)
+    reps, seed = 4100, 29
+    hats = twfe_theta_hats(design, reps=reps, seed=seed)
+    assert hats.shape == (reps, design.m + 1)
+    for chunk, start in enumerate(range(0, reps, _CHUNK_ROWS)):
+        rows = min(_CHUNK_ROWS, reps - start)
+        y = _twfe_outcomes(design, rows, _chunk_generator(seed, chunk))
+        oracle = y[:, :, intervention:].mean(axis=2) - y[:, :, :intervention].mean(axis=2)
+        np.testing.assert_allclose(hats[start:start + rows], oracle, rtol=0, atol=1e-12)
+
+
+# Rejection counts of the draw stream as it stands; any change to an RNG
+# call, draw shape or chunk key moves them
+@pytest.mark.parametrize("design, rejections", [
+    (NormalMeansDesign(dgp=2, m=6), 162),
+    (TwfeDesign(dgp=1, m=6), 308),
+    (TwfeDesign(dgp=4, m=6), 355),
+])
+def test_draw_stream_is_pinned(design, rejections):
+    res = run(MCConfig(design=design, reps=6000, seed=2026))
+    assert res.rejections == rejections
 
 
 def test_run_result_consistency():
