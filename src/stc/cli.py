@@ -12,9 +12,10 @@ cannot be read or written).  The STC_THREADS environment variable caps
 
 The panel CSV schema: UTF-8 (a leading byte-order mark is skipped), '.'
 decimal, header ``cluster,unit,time,outcome,c`` where ``unit`` and ``c``
-(and ``time`` for cross-sections) may be omitted; lines starting with '#'
-are comments.  The treated cluster is designated by --treated, never by a
-column, so one schema serves every design.
+(and ``time`` for cross-sections) may be omitted; a line that starts,
+after any blanks, with an unquoted '#' is a comment (a quoted "#a" is an
+id).  The treated cluster is designated by --treated, never by a column,
+so one schema serves every design.
 
 Each subcommand computes one record, and every format derives from it.
 JSON is the record and round-trips byte-identically: floats are pre-rounded
@@ -83,12 +84,20 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
     """Parse the panel schema into column arrays (absent columns -> None)."""
     rows: list[list[str]] = []
     numbers: list[int] = []
+    raw: list[str] = []  # the physical lines of the record being read
+
+    def lines(fh):
+        for line in fh:
+            raw.append(line)
+            yield line
+
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            for number, record in enumerate(csv.reader(fh), start=1):
-                if not record or (record[0].lstrip().startswith("#")):
-                    continue
-                if all(not field.strip() for field in record):
+            for number, record in enumerate(csv.reader(lines(fh)), start=1):
+                first = raw[0]
+                raw.clear()
+                # a comment starts with an unquoted '#'; a quoted "#a" is an id
+                if first.lstrip().startswith("#") or all(not f.strip() for f in record):
                     continue
                 rows.append([field.strip() for field in record])
                 numbers.append(number)

@@ -8,10 +8,14 @@ worst-case rejection probability is at most alpha.  Two routes exist:
     validity function `h_bar` is nonpositive at the candidate threshold,
     i.e. whenever alpha <= `alpha_underline`(m, rho).  The critical value is
     then sqrt(rho^2 + 1/m) * t_{m-1, 1-alpha/2} exactly.
-  * Optimized — bisection on c against `worstcase.p_max`, which is
-    nonincreasing in c.  The bracket is seeded with the large-m guess
+  * Optimized — the first c at which `worstcase.p_max`, nonincreasing in
+    c, is at most alpha.  The upper end starts at the large-m guess
     sqrt(m/(m-k+1)) * rho * z_{alpha/2} (never trusted as final) plus the
     k=1 closed-form value.
+
+`_first_true` is the one monotone inversion, doubling then bisection: it
+finds the critical value here, `c_underline`'s sign change of `h_bar`, and
+`inference.rho_frontier`'s bounds in rho.
 
 `generate_table` evaluates grids of critical values with per-cell error
 capture and CSV/JSON export (3 decimals, half-away-from-zero).
@@ -43,6 +47,33 @@ __all__ = [
 # bisection stops when the cv bracket is this tight (absolute), further
 # narrowed so that cv*(1 - 1e-4) provably falls below the bracket
 _CV_WIDTH = 5e-5
+# doublings of the upper end before an inversion gives up
+_MAX_DOUBLINGS = 200
+
+
+def _first_true(pred, lo: float, hi: float, abs_tol: float = math.inf,
+                rel_tol: float = math.inf) -> tuple[float, int] | None:
+    """(x, bisection steps): x > lo is where the monotone ``pred`` first holds.
+
+    ``pred(lo)`` must be false.  A false ``pred(hi)`` puts the answer above
+    hi, so lo rises to hi and hi doubles (None after `_MAX_DOUBLINGS`).  Then
+    bisection until hi - lo <= min(abs_tol, rel_tol * max(hi, 1e-12)); x = hi.
+    """
+    for _ in range(_MAX_DOUBLINGS):
+        if pred(hi):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return None
+    steps = 0
+    while hi - lo > min(abs_tol, rel_tol * max(hi, 1e-12)):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return hi, steps
 
 
 def _h_bar_domain(m: int) -> float:
@@ -80,26 +111,17 @@ def h_bar(m: int, c: float, rho: float) -> float:
 def c_underline(m: int, rho: float) -> float:
     """Smallest threshold from which the k = 1 closed form is valid.
 
-    Bisection on the decreasing h_bar over [domain edge, c_hi], doubling
-    c_hi until h_bar < 0; absolute tolerance 1e-8 on c.
+    The first c above the domain edge with h_bar(m, c, rho) <= 0 (h_bar is
+    decreasing), found by `_first_true` from c = max(2 * edge, 2) to an
+    absolute tolerance of 1e-8 on c.
     """
     lo = _h_bar_domain(int(m)) + 1e-9
     if h_bar(m, lo, rho) <= 0.0:
         return lo
-    hi = max(2.0 * lo, 2.0)
-    for _ in range(200):
-        if h_bar(m, hi, rho) < 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - h_bar -> negative limit guarantees termination
+    found = _first_true(lambda c: h_bar(m, c, rho) <= 0.0, lo, max(2.0 * lo, 2.0), abs_tol=1e-8)
+    if found is None:  # pragma: no cover - h_bar -> negative limit guarantees termination
         raise NoValidCriticalValueError("h_bar never became negative")
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if h_bar(m, mid, rho) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return found[0]
 
 
 def _c_underline_grid(m: int, rho: float, step: float = 0.01) -> float:
@@ -165,7 +187,8 @@ def critical_value(
 
     Uses the exact closed form when its validity condition holds (k = 1,
     m >= 4, rho > 0 and alpha <= alpha_underline); otherwise inverts
-    `p_max` by bisection to a bracket width of 5e-5.
+    `p_max` with `_first_true` to a bracket width of 5e-5 (returning its
+    upper end).
 
     Raises:
         InvalidParameterError: alpha outside (0, 0.5) or mismatched spec.
@@ -180,56 +203,32 @@ def critical_value(
     k, rho = spec.k, spec.rho
 
     if k == 1 and m >= 4 and rho > 0 and alpha <= alpha_underline(m, rho):
-        cv = _closed_form_k1(m, alpha, rho)
-        return CriticalValueResult(
-            cv=cv,
-            method="ClosedFormK1",
-            alpha=alpha,
-            spec=spec,
-            worst_case=p_max(m, cv, spec),
-            iterations=0,
-        )
-
-    lo = 1.0 / math.sqrt(m) + 1e-6
-    if p_max(m, lo, spec, stop_above=alpha).value <= alpha:
-        # every admissible threshold already attains the level
-        return CriticalValueResult(
-            cv=lo,
-            method="Optimized",
-            alpha=alpha,
-            spec=spec,
-            worst_case=p_max(m, lo, spec),
-            iterations=0,
-        )
-
-    guess = math.sqrt(m / (m - k + 1.0)) * rho * float(normal_quantile(1.0 - alpha / 2.0))
-    hi = 2.0 * (guess + _closed_form_k1(m, alpha, max(rho, 0.0)) + 1.0)
-    for _ in range(80):
-        if p_max(m, hi, spec, stop_above=alpha).value <= alpha:
-            break
-        hi *= 2.0
+        cv, method, iterations = _closed_form_k1(m, alpha, rho), "ClosedFormK1", 0
     else:
-        floor = p_max(m, hi, spec).value
-        raise NoValidCriticalValueError(
-            f"worst-case rejection probability stays above alpha={alpha}"
-            f" for all thresholds searched (floor ~{floor})",
-            floor=floor,
-        )
+        def attains(c: float) -> bool:
+            return p_max(m, c, spec, stop_above=alpha).value <= alpha
 
-    iterations = 0
-    while (hi - lo) > min(_CV_WIDTH, 0.99e-4 * hi):
-        mid = 0.5 * (lo + hi)
-        if p_max(m, mid, spec, stop_above=alpha).value > alpha:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+        method = "Optimized"
+        cv, iterations = 1.0 / math.sqrt(m) + 1e-6, 0
+        # at the lowest admissible threshold the level may already be attained
+        if not attains(cv):
+            guess = math.sqrt(m / (m - k + 1.0)) * rho * float(normal_quantile(1.0 - alpha / 2.0))
+            hi = 2.0 * (guess + _closed_form_k1(m, alpha, max(rho, 0.0)) + 1.0)
+            found = _first_true(attains, cv, hi, abs_tol=_CV_WIDTH, rel_tol=0.99e-4)
+            if found is None:
+                floor = p_max(m, math.ldexp(hi, _MAX_DOUBLINGS), spec).value
+                raise NoValidCriticalValueError(
+                    f"worst-case rejection probability stays above alpha={alpha}"
+                    f" for all thresholds searched (floor ~{floor})",
+                    floor=floor,
+                )
+            cv, iterations = found
     return CriticalValueResult(
-        cv=hi,
-        method="Optimized",
+        cv=cv,
+        method=method,
         alpha=alpha,
         spec=spec,
-        worst_case=p_max(m, hi, spec),
+        worst_case=p_max(m, cv, spec),
         iterations=iterations,
     )
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .critical_values import (
     CriticalValueResult,
+    _first_true,
     critical_value,
     one_sided_critical_value,
 )
@@ -212,9 +213,10 @@ def run_test(
 def rho_frontier(est: ClusterEstimates, alpha: float) -> RhoFrontier:
     """Breakdown bound rho_hat_k = inf{rho >= 0 : worst-case p > alpha}, all k.
 
-    Bisection on rho (the worst-case tail is nondecreasing in rho), relative
-    tolerance 1e-4; each k's search is bracketed above by the previous k's
-    bound, which also enforces the nonincreasing-in-k shape on output.
+    `critical_values._first_true` inverts in rho (the worst-case tail is
+    nondecreasing in rho) from rho = 0, relative tolerance 1e-4; each k's
+    search starts its upper end at the previous k's bound, and the output
+    is clipped to it, which enforces the nonincreasing-in-k shape.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -234,24 +236,11 @@ def rho_frontier(est: ClusterEstimates, alpha: float) -> RhoFrontier:
     bounds: list[float] = []
     prev = math.inf
     for k in range(1, m + 1):
-        lo = 0.0
-        hi = prev if math.isfinite(prev) and prev > 0 else 1.0
-        for _ in range(200):
-            if exceeds(k, hi):
-                break
-            lo = hi
-            hi *= 2.0
-        else:  # pragma: no cover - a large enough rho always pushes p to 1
-            raise NumericalFailureError(
-                f"no rho found with worst-case p > {alpha} at k={k}"
-            )
-        while hi - lo > _FRONTIER_REL_TOL * max(hi, 1e-12):
-            mid = 0.5 * (lo + hi)
-            if exceeds(k, mid):
-                hi = mid
-            else:
-                lo = mid
-        prev = min(hi, prev)
+        hi = prev if math.isfinite(prev) else 1.0  # every bound is > 0
+        found = _first_true(lambda rho: exceeds(k, rho), 0.0, hi, rel_tol=_FRONTIER_REL_TOL)
+        if found is None:  # pragma: no cover - a large enough rho always pushes p to 1
+            raise NumericalFailureError(f"no rho found with worst-case p > {alpha} at k={k}")
+        prev = min(found[0], prev)
         bounds.append(prev)
     return RhoFrontier(alpha=alpha, bounds=tuple(bounds))
 

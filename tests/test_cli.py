@@ -591,6 +591,29 @@ def test_read_panel_csv_errors(tmp_path, body, fragment):
         read_panel_csv(str(path))
 
 
+def test_read_panel_csv_quoted_hash_is_an_id(tmp_path):
+    # only an unquoted '#' starts a comment; "#a" is a cluster id
+    path = tmp_path / "hash.csv"
+    path.write_text('cluster,outcome\n"#a",1.0\nb,2.0\nc,3.0\n')
+    cols = read_panel_csv(str(path))
+    assert cols["cluster"].tolist() == ["#a", "b", "c"]
+    assert cols["outcome"].tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("comment", ["# note", "  # note", '\t# note, "x"'])
+def test_read_panel_csv_skips_comment_lines(tmp_path, comment):
+    path = tmp_path / "comments.csv"
+    path.write_text(f"{comment}\ncluster,outcome\n{comment}\na,1\n{comment}\nb,2\n")
+    assert read_panel_csv(str(path))["cluster"].tolist() == ["a", "b"]
+    # a bad row keeps its line number: comment lines are counted, not read
+    path.write_text(f"cluster,outcome\n{comment}\na,oops\n")
+    with pytest.raises(DataFormatError, match="line 3: bad value 'oops' in column 'outcome'"):
+        read_panel_csv(str(path))
+    path.write_text(f"{comment}\n")
+    with pytest.raises(DataFormatError, match="no header row found"):
+        read_panel_csv(str(path))
+
+
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "rt.csv"
     cluster = np.array(["a", "b", "t"])

@@ -1,12 +1,15 @@
 """Critical values, the closed-form validity region, and table generation."""
 import json
 import math
+import types
 
 import pytest
 
 from stc.critical_values import (
+    _MAX_DOUBLINGS,
     Table,
     TableCell,
+    _first_true,
     alpha_underline,
     c_underline,
     critical_value,
@@ -24,6 +27,65 @@ from _reference_tables import MAX_ALPHA_PERCENT
 
 def _spec(m, k, rho):
     return HeterogeneitySpec(m=m, k=k, rho=rho)
+
+
+# ------------------------------------------------------ the one inversion
+
+
+def _counted(threshold):
+    calls = []
+
+    def pred(x):
+        calls.append(x)
+        return x >= threshold
+    return pred, calls
+
+
+@pytest.mark.parametrize(
+    "threshold,hi,doublings,abs_tol,rel_tol",
+    [
+        (math.pi, 1.0, 2, 1e-6, math.inf),   # two failed doublings, absolute width
+        (math.pi, 1.0, 2, math.inf, 1e-4),   # relative width
+        (0.3, 1.0, 0, 5e-5, 0.99e-4),        # no doubling, the critical-value rule
+        (0.3, 1.0, 0, 1e-3, 1e-9),           # the relative width is the tighter one
+        (1000.0, 3.0, 9, 1e-8, math.inf),
+    ],
+)
+def test_first_true_finds_the_threshold(threshold, hi, doublings, abs_tol, rel_tol):
+    pred, calls = _counted(threshold)
+    x, steps = _first_true(pred, 0.0, hi, abs_tol=abs_tol, rel_tol=rel_tol)
+    width = min(abs_tol, rel_tol * max(x, 1e-12))
+    assert pred(x) and not pred(x - width)
+    assert x - threshold <= width
+    assert len(calls) - 2 == doublings + 1 + steps  # the two asserted calls aside
+    assert calls[:doublings + 1] == [hi * 2.0**i for i in range(doublings + 1)]
+    # a failed doubling proves the threshold lies above it: bisection starts there
+    lo = hi * 2.0**(doublings - 1) if doublings else 0.0
+    assert all(lo < c < hi * 2.0**doublings for c in calls[doublings + 1:-2])
+
+
+def test_first_true_gives_up_after_its_doublings():
+    pred, calls = _counted(math.inf)
+    assert _first_true(pred, 0.0, 1.0, abs_tol=1.0) is None
+    assert len(calls) == _MAX_DOUBLINGS
+
+
+def test_critical_value_exhaustion_reports_the_floor(monkeypatch):
+    import stc.critical_values as cv_mod
+
+    calls = []
+
+    def flat(m, c, spec, stop_above=None):
+        calls.append(c)
+        return types.SimpleNamespace(value=0.2)
+
+    monkeypatch.setattr(cv_mod, "p_max", flat)
+    with pytest.raises(NoValidCriticalValueError, match="floor") as info:
+        critical_value(5, 0.05, _spec(5, 2, 1.0))
+    assert info.value.floor == 0.2
+    # the lowest threshold, every doubling, then the floor beyond the last one
+    assert len(calls) == 1 + _MAX_DOUBLINGS + 1
+    assert calls[-1] == 2.0 * calls[-2]
 
 
 # ---------------------------------------------------------------- h_bar

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stc.errors import InvalidParameterError
 from stc.inference import (
@@ -211,6 +213,43 @@ def test_frontier_shape_and_duality():
         below = p_max(m, t, HeterogeneitySpec(m=m, k=k, rho=max(rho_hat - eps, 0.0))).value
         assert above > 0.05
         assert below <= 0.05 + 1e-9
+
+
+def test_frontier_at_m10_brackets_each_bound():
+    # one seeded panel with t = 4: every bound is finite, positive and
+    # distinct, and p_max crosses alpha within 1e-3 of it (about 11 s)
+    rng = np.random.default_rng(2026)
+    controls = rng.normal(size=10)
+    est = ClusterEstimates(controls, float(np.mean(controls) + 4.0 * np.std(controls, ddof=1)))
+    t = abs(t_statistic(est)[0])
+    bounds = rho_frontier(est, 0.05).bounds
+    assert len(bounds) == 10
+    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+    for k, rho_hat in enumerate(bounds, start=1):
+        assert 0.0 < rho_hat < math.inf
+        above, below = (p_max(10, t, HeterogeneitySpec(m=10, k=k, rho=rho_hat * f)).value
+                        for f in (1 + 1e-3, 1 - 1e-3))
+        assert above > 0.05 >= below, k
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    controls=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=6),
+    treated=st.floats(-8.0, 8.0),
+    k=st.integers(1, 3),
+    rho=st.sampled_from([0.3, 1.0, 2.0]),
+    alpha=st.sampled_from([0.01, 0.05, 0.1, 0.2]),
+    sided=st.sampled_from(list(Sided)),
+)
+def test_reject_is_p_value_at_most_alpha(controls, treated, k, rho, alpha, sided):
+    # duality of the test and the p-value: they can disagree only when |t|
+    # falls inside the critical value's 5e-5 bisection bracket
+    est = ClusterEstimates(np.array(controls), treated)
+    spec = HeterogeneitySpec(m=est.m, k=min(k, est.m), rho=rho)
+    report = run_test(est, spec, alpha, sided)
+    if report.cv.cv - 5e-5 <= abs(report.t_stat) <= report.cv.cv:
+        return
+    assert report.reject == (report.p_value <= alpha)
 
 
 def test_frontier_monotone_in_alpha():

@@ -83,3 +83,36 @@ def test_cli_calls_go_through_the_module_seams(monkeypatch, tmp_path, capsys):
     assert stc.cli.main(["rho-frontier", *data]) == 0
     assert calls == ["read_panel_csv", "extract", "rho_frontier"]
     assert capsys.readouterr().err == ""
+
+
+def test_inversion_p_max_calls_go_through_the_module_seams(monkeypatch):
+    # tracers count a critical value's p_max calls on stc.critical_values.p_max
+    # and a frontier's on stc.inference.p_max
+    import stc.critical_values
+    import stc.inference
+
+    def counted(module, calls):
+        original = module.p_max
+
+        def wrapper(m, c, spec, stop_above=None):
+            calls.append((c, stop_above))
+            return original(m, c, spec, stop_above=stop_above)
+        monkeypatch.setattr(module, "p_max", wrapper)
+
+    cv_calls, frontier_calls = [], []
+    counted(stc.critical_values, cv_calls)
+    counted(stc.inference, frontier_calls)
+    res = stc.critical_value(5, 0.05, stc.HeterogeneitySpec(m=5, k=2, rho=1.0))
+    # the lowest threshold, one upper probe, each bisection step, and the
+    # final complete call at the returned cv
+    assert res.method == "Optimized" and res.iterations > 0
+    assert len(cv_calls) == 3 + res.iterations
+    assert cv_calls[-1] == (res.cv, None)
+    assert all(stop == 0.05 for _, stop in cv_calls[:-1])
+    assert frontier_calls == []
+
+    cv_calls.clear()
+    est = stc.ClusterEstimates(np.array([0.1, -0.2, 0.15, -0.05]), 2.4)
+    frontier = stc.rho_frontier(est, 0.05)
+    assert cv_calls == [] and len(frontier_calls) > len(frontier.bounds)
+    assert all(stop == 0.05 for _, stop in frontier_calls)
