@@ -6,16 +6,19 @@ to a file instead of stdout.
 
 Exit codes are a stable contract: 0 success, 2 usage/parameter error,
 3 method infeasibility (no valid critical value / numerical failure),
-4 data error (malformed or non-UTF-8 CSV, design violations, files that
-cannot be read or written).  The STC_THREADS environment variable caps
-``table --workers``; a non-integer value is a parameter error.
+4 data error (malformed or non-UTF-8 CSV, including a non-finite outcome or
+an integer outside 64 bits; design violations; files that cannot be read or
+written).  The STC_THREADS environment variable caps ``table --workers``; a
+non-integer value is a parameter error.
 
 The panel CSV schema: UTF-8 (a leading byte-order mark is skipped), '.'
 decimal, header ``cluster,unit,time,outcome,c`` where ``unit`` and ``c``
 (and ``time`` for cross-sections) may be omitted; a line that starts,
 after any blanks, with an unquoted '#' is a comment (a quoted "#a" is an
-id).  The treated cluster is designated by --treated, never by a column,
-so one schema serves every design.
+id, and ``write_panel_csv`` quotes every field of a row whose cluster id
+starts with '#').  A bad row's error names its first physical line, counting
+the line breaks inside quoted fields.  The treated cluster is designated by
+--treated, never by a column, so one schema serves every design.
 
 Each subcommand computes one record, and every format derives from it.
 JSON is the record and round-trips byte-identically: floats are pre-rounded
@@ -33,10 +36,12 @@ floats %g.  ``max-alpha`` and ``table`` print a rho-by-m pivot as CSV and text.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 
@@ -81,9 +86,13 @@ _SIDED = {"greater": Sided.ONE_SIDED_GREATER, "less": Sided.ONE_SIDED_LESS}
 
 
 def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
-    """Parse the panel schema into column arrays (absent columns -> None)."""
+    """Parse the panel schema into column arrays (absent columns -> None).
+
+    Each column is cast once; only a failed cast is searched for its first
+    bad field, whose physical line the error names.
+    """
     rows: list[list[str]] = []
-    numbers: list[int] = []
+    numbers = array.array("q")  # each row's first physical line
     raw: list[str] = []  # the physical lines of the record being read
 
     def lines(fh):
@@ -91,21 +100,24 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
             raw.append(line)
             yield line
 
+    seen = 0
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            for number, record in enumerate(csv.reader(lines(fh)), start=1):
-                first = raw[0]
+            for record in csv.reader(lines(fh)):
+                first, number = raw[0], seen + 1
+                seen += len(raw)
                 raw.clear()
                 # a comment starts with an unquoted '#'; a quoted "#a" is an id
-                if first.lstrip().startswith("#") or all(not f.strip() for f in record):
+                if first.lstrip().startswith("#") or not "".join(record).strip():
                     continue
-                rows.append([field.strip() for field in record])
+                rows.append(record)
                 numbers.append(number)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DataFormatError(f"{path}: no header row found")
-    header, data, data_numbers = rows[0], rows[1:], numbers[1:]
+    header = [name.strip() for name in rows.pop(0)]
+    del numbers[0]
     unknown = [name for name in header if name not in _CSV_COLUMNS]
     if unknown:
         raise DataFormatError(f"{path}: unknown column(s) {unknown}; expected {_CSV_COLUMNS}")
@@ -114,52 +126,55 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
     for required in ("cluster", "outcome"):
         if required not in header:
             raise DataFormatError(f"{path}: missing required column {required!r}")
-    if not data:
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    if set(map(len, rows)) != {len(header)}:
+        i = next(i for i, record in enumerate(rows) if len(record) != len(header))
+        raise DataFormatError(
+            f"{path} line {numbers[i]}: expected {len(header)} fields, got {len(rows[i])}"
+        )
 
-    columns: dict[str, list] = {name: [] for name in header}
-    for number, record in zip(data_numbers, data):
-        if len(record) != len(header):
-            raise DataFormatError(
-                f"{path} line {number}: expected {len(header)} fields, got {len(record)}"
-            )
-        for name, field in zip(header, record):
-            columns[name].append(_parse_field(path, number, name, field))
-
-    out: dict[str, np.ndarray | None] = {name: None for name in _CSV_COLUMNS}
-    casts = {"cluster": str, "unit": str, "time": int, "outcome": float, "c": int}
-    for name, values in columns.items():
-        out[name] = np.array(values, dtype=casts[name])
+    out: dict[str, np.ndarray | None] = dict.fromkeys(_CSV_COLUMNS)
+    for j, name in enumerate(header):
+        fields = list(map(operator.itemgetter(j), rows))
+        try:
+            out[name] = _cast(name, fields)
+        except (ValueError, OverflowError):
+            for number, field in zip(numbers, fields):
+                try:
+                    _cast(name, [field])
+                except (ValueError, OverflowError):
+                    raise DataFormatError(
+                        f"{path} line {number}: bad value {field.strip()!r} in column {name!r}"
+                    ) from None
+            raise
     return out
 
 
-def _parse_field(path: str, number: int, name: str, field: str):
-    try:
-        if name == "outcome":
-            return float(field)
-        if name == "time":
-            return int(field)
-        if name == "c":
-            value = int(field)
-            if value not in (0, 1):
-                raise ValueError
-            return value
-        if not field:
-            raise ValueError
-        return field
-    except ValueError:
-        raise DataFormatError(
-            f"{path} line {number}: bad value {field!r} in column {name!r}"
-        ) from None
+def _cast(name: str, fields: list[str]) -> np.ndarray:
+    """One column as an array; ValueError (or OverflowError) if a field is bad."""
+    if name in ("cluster", "unit"):
+        col = np.char.strip(np.array(fields, dtype=str))
+        ok = col != ""
+    elif name == "outcome":
+        col = np.array(fields, dtype=float)
+        ok = np.isfinite(col)
+    else:
+        col = np.array(fields, dtype=np.int64)
+        ok = (col == 0) | (col == 1) if name == "c" else True
+    if not np.all(ok):
+        raise ValueError(name)
+    return col
 
 
 def write_panel_csv(path: str, cluster, outcome, time=None, unit=None, c=None) -> None:
     """Write columns in the canonical header order, omitting absent ones.
 
-    Ids holding commas, quotes or line breaks are quoted.  An id that
-    ``read_panel_csv`` would read differently (empty, padded with spaces,
-    or a cluster id starting with '#', which marks a comment line) raises
-    InvalidParameterError instead of writing a file that reads back wrong.
+    Ids holding commas, quotes or line breaks are quoted, and so is every
+    field of a row whose cluster id starts with '#', which would otherwise
+    read as a comment line.  An id that ``read_panel_csv`` would read
+    differently (empty or padded with spaces) raises InvalidParameterError
+    instead of writing a file that reads back wrong.
     """
     named = [("cluster", cluster), ("unit", unit), ("time", time),
              ("outcome", outcome), ("c", c)]
@@ -168,21 +183,17 @@ def write_panel_csv(path: str, cluster, outcome, time=None, unit=None, c=None) -
         if name in ("cluster", "unit"):
             ids = col.astype(str)
             bad = (ids == "") | (np.char.strip(ids) != ids)
-            if name == "cluster":
-                bad |= np.char.startswith(ids, "#")
             if bad.any():
                 raise InvalidParameterError(
                     f"{name} id {str(ids[np.argmax(bad)])!r} would not read back from the CSV")
+    # str of a Python float is its shortest round-trip repr
+    columns = [map(str, col.tolist()) for _, col in present]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(name for name, _ in present)
-        writer.writerows(zip(*(map(_format_cell, col) for _, col in present)))
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(name for name, _ in present)
+        for row in zip(*columns):
+            (quoted if row[0].startswith("#") else plain).writerow(row)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +342,9 @@ def _workers(args) -> int:
 
 def _estimates_from_args(args):
     cols = read_panel_csv(args.data)
-    panel = PanelData(
-        cluster=cols["cluster"],
-        outcome=cols["outcome"],
-        treated_cluster=args.treated,
-        time=cols["time"],
-        post_start=args.post_start,
-        unit=cols["unit"],
-        c_indicator=cols["c"],
-    )
+    panel = PanelData(cluster=cols["cluster"], outcome=cols["outcome"],
+                      treated_cluster=args.treated, time=cols["time"],
+                      post_start=args.post_start, unit=cols["unit"], c_indicator=cols["c"])
     extraction = extract(panel, _DESIGNS[args.design])
     return extraction, extraction.estimates
 

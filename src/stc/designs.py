@@ -1,17 +1,21 @@
 """Per-cluster effect extraction from raw panel or cross-section data.
 
-Every design reduces to one tiny regression per cluster:
+Every design's estimate is a fixed contrast of the cluster's (C, Post) cell
+means, Post meaning t >= post_start:
 
-  * ClusteredMean — the cluster mean of the outcome.
-  * DiD / TwoWayFE — mean(outcome | t >= post_start) − mean(outcome | t <
-    post_start), the OLS coefficient on the post indicator.
-  * TripleDiff — the interaction coefficient of the OLS of the outcome on
-    {1, C, Post, C·Post}.  That model is saturated (one parameter per
-    (C, Post) cell), so the coefficient is the difference-in-differences of
-    the four cell means; an empty cell is the rank-deficient case.
+  * ClusteredMean — the mean of one cell (C and Post unused).
+  * DiD / TwoWayFE — mean(Post) − mean(Pre), the OLS coefficient on the post
+    indicator.
+  * TripleDiff — (mean(C=1, Post) − mean(C=1, Pre)) − (mean(C=0, Post) −
+    mean(C=0, Pre)), the interaction coefficient of the OLS of the outcome on
+    {1, C, Post, C·Post}.  That model is saturated (one parameter per cell),
+    so an empty cell is the rank-deficient case.
 
-The treated cluster's estimate becomes `ClusterEstimates.treated`; control
-estimates are ordered by cluster id so row order never matters.
+One grouped pass computes every cluster's cell sums and counts, and the
+design's row of ``_CONTRASTS`` weighs the cell means.  Each cell sums its
+rows in outcome order, so row order never changes a bit of the result.  The
+treated cluster's estimate becomes `ClusterEstimates.treated`; control
+estimates are ordered by cluster id.
 """
 from __future__ import annotations
 
@@ -38,9 +42,6 @@ class DesignKind(enum.Enum):
     DID = "DiD"
     TWO_WAY_FE = "TwoWayFE"
     TRIPLE_DIFF = "TripleDiff"
-
-
-_TIME_BASED = (DesignKind.DID, DesignKind.TWO_WAY_FE, DesignKind.TRIPLE_DIFF)
 
 
 @dataclass(frozen=True)
@@ -78,12 +79,10 @@ class PanelData:
             col = np.asarray(col)
             if col.shape != (n,):
                 raise InvalidParameterError(f"{name} column must match the cluster column length")
-            if name == "time":
+            if name != "unit":
                 col = col.astype(int)
-            if name == "c_indicator":
-                col = col.astype(int)
-                if not np.isin(col, (0, 1)).all():
-                    raise InvalidParameterError("c_indicator must contain only 0 and 1")
+            if name == "c_indicator" and not np.isin(col, (0, 1)).all():
+                raise InvalidParameterError("c_indicator must contain only 0 and 1")
             columns[name] = col
         treated = str(self.treated_cluster)
         ids = set(np.unique(cluster))
@@ -102,11 +101,6 @@ class PanelData:
             self, "post_start", None if self.post_start is None else int(self.post_start)
         )
 
-    @property
-    def control_clusters(self) -> tuple[str, ...]:
-        ids = np.unique(self.cluster)
-        return tuple(str(i) for i in ids if str(i) != self.treated_cluster)
-
 
 @dataclass(frozen=True)
 class Extraction:
@@ -123,102 +117,81 @@ class Extraction:
     design: DesignKind
 
 
-def _canonical(data: PanelData) -> PanelData:
-    """Reorder rows into a fixed sort so results are bit-identical under shuffles."""
-    keys = [data.outcome]
-    if data.c_indicator is not None:
-        keys.append(data.c_indicator)
-    if data.unit is not None:
-        keys.append(data.unit)
-    if data.time is not None:
-        keys.append(data.time)
-    keys.append(data.cluster)
-    order = np.lexsort(keys)
-    pick = lambda col: None if col is None else col[order]
-    return PanelData(
-        cluster=data.cluster[order],
-        outcome=data.outcome[order],
-        treated_cluster=data.treated_cluster,
-        time=pick(data.time),
-        post_start=data.post_start,
-        unit=pick(data.unit),
-        c_indicator=pick(data.c_indicator),
-    )
+# each design's weights on a cluster's cell means, cell = 2·C + Post
+_CONTRASTS = {
+    DesignKind.CLUSTERED_MEAN: np.array([1.0]),
+    DesignKind.DID: np.array([-1.0, 1.0]),
+    DesignKind.TWO_WAY_FE: np.array([-1.0, 1.0]),
+    DesignKind.TRIPLE_DIFF: np.array([1.0, -1.0, -1.0, 1.0]),
+}
 
 
-def _require(data: PanelData, column: str, kind: DesignKind) -> np.ndarray:
-    col = getattr(data, column)
-    if col is None:
-        raise DesignViolationError(f"{kind.value} requires a {column} column")
-    return col
-
-
-def _post_mask(data: PanelData, kind: DesignKind) -> np.ndarray:
-    time = _require(data, "time", kind)
+def _cell_codes(data: PanelData, kind: DesignKind):
+    """Each row's cell, 2·C + Post, using only the columns the design reads."""
+    if kind is DesignKind.CLUSTERED_MEAN:
+        return 0
+    if data.time is None:
+        raise DesignViolationError(f"{kind.value} requires a time column")
     if data.post_start is None:
         raise DesignViolationError(f"{kind.value} requires post_start")
-    return time >= data.post_start
+    post = (data.time >= data.post_start).astype(np.intp)
+    if kind is not DesignKind.TRIPLE_DIFF:
+        return post
+    if data.c_indicator is None:
+        raise DesignViolationError(f"{kind.value} requires a c_indicator column")
+    return post + 2 * data.c_indicator
 
 
-def _cluster_theta(
-    data: PanelData, kind: DesignKind, mask: np.ndarray, cluster_id: str
-) -> float:
-    y = data.outcome[mask]
+def _check_cells(kind: DesignKind, ids: np.ndarray, counts: np.ndarray) -> None:
+    """Raise for the first cluster, in id order, missing a cell its design needs."""
     if kind is DesignKind.CLUSTERED_MEAN:
-        return float(np.mean(y))
-
-    post = _post_mask(data, kind)[mask]
-    for label, period in (("before", ~post), ("after", post)):
-        if not period.any():
-            raise DesignViolationError(
-                f"cluster {cluster_id!r} has no observations {label} post_start"
-            )
-    if kind in (DesignKind.DID, DesignKind.TWO_WAY_FE):
-        return float(np.mean(y[post]) - np.mean(y[~post]))
-
-    c = _require(data, "c_indicator", kind)[mask]
-    if c.min() == c.max():
-        raise DesignViolationError(
-            f"cluster {cluster_id!r} needs both c_indicator values for {kind.value}"
-        )
-    means = {}
-    for cv in (0, 1):
-        for label, period in (("before", ~post), ("after", post)):
-            cell = y[(c == cv) & period]
-            if cell.size == 0:
-                raise RankDeficiencyError(
-                    f"cluster {cluster_id!r}: design is rank deficient "
-                    f"(no observations with c_indicator={cv} {label} post_start)"
-                )
-            means[cv, label] = np.mean(cell)
-    return float(
-        (means[1, "after"] - means[1, "before"]) - (means[0, "after"] - means[0, "before"])
-    )
+        return
+    cells = counts.reshape(ids.size, -1, 2)  # (cluster, C, Post)
+    periods = ("before", "after")
+    checks = [(DesignViolationError, cells[:, :, post].sum(axis=1) == 0,
+               f" has no observations {label} post_start")
+              for post, label in enumerate(periods)]
+    if kind is DesignKind.TRIPLE_DIFF:
+        checks.append((DesignViolationError, (cells.sum(axis=2) == 0).any(axis=1),
+                       f" needs both c_indicator values for {kind.value}"))
+        checks += [(RankDeficiencyError, cells[:, c, post] == 0,
+                    ": design is rank deficient "
+                    f"(no observations with c_indicator={c} {label} post_start)")
+                   for c in (0, 1) for post, label in enumerate(periods)]
+    bad = np.array([mask for _, mask, _ in checks])  # (check, cluster)
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))
+        error, _, message = checks[int(np.argmax(bad[:, j]))]
+        raise error(f"cluster {str(ids[j])!r}{message}")
 
 
 def extract(data: PanelData, kind: DesignKind) -> Extraction:
     """Per-cluster effect estimates for the chosen design.
 
-    Controls are ordered by cluster id.  Raises a design-violation error
-    naming the offending cluster when its observations cannot identify the
-    design's coefficient, and a rank-deficiency error when one of a
-    TripleDiff cluster's four (C, Post) cells is empty.
+    Controls are ordered by cluster id.  Clusters are checked in id order,
+    the treated one among them, and the first whose observations cannot
+    identify the design's coefficient raises: a design-violation error
+    naming it, or a rank-deficiency error when one of a TripleDiff
+    cluster's four (C, Post) cells is empty.
     """
     if not isinstance(kind, DesignKind):
         raise InvalidParameterError(f"unknown design kind: {kind!r}")
-    data = _canonical(data)
-    controls = []
-    for cid in data.control_clusters:
-        mask = data.cluster == cid
-        controls.append(_cluster_theta(data, kind, mask, cid))
-    treated = _cluster_theta(
-        data, kind, data.cluster == data.treated_cluster, data.treated_cluster
-    )
-    estimates = ClusterEstimates(np.array(controls), treated)
+    weights = _CONTRASTS[kind]
+    ids, index = np.unique(data.cluster, return_inverse=True)
+    cell = index * weights.size + _cell_codes(data, kind)
+    size = ids.size * weights.size
+    counts = np.bincount(cell, minlength=size).reshape(ids.size, -1)
+    _check_cells(kind, ids, counts)
+    # every cell sums its rows in ascending outcome order, whatever the row order
+    order = np.argsort(data.outcome, kind="stable")
+    sums = np.bincount(cell[order], weights=data.outcome[order], minlength=size)
+    theta = (sums.reshape(ids.size, -1) / counts) @ weights
+    treated = int(np.searchsorted(ids, data.treated_cluster))
+    controls = np.delete(theta, treated)
     return Extraction(
-        estimates=estimates,
-        delta_hat=treated - float(np.mean(controls)),
+        estimates=ClusterEstimates(controls, theta[treated]),
+        delta_hat=float(theta[treated]) - float(np.mean(controls)),
         treated_cluster=data.treated_cluster,
-        control_clusters=data.control_clusters,
+        control_clusters=tuple(np.delete(ids, treated).tolist()),
         design=kind,
     )

@@ -580,6 +580,17 @@ def test_read_panel_csv_optional_columns_default_none(tmp_path):
         ("cluster,time,outcome\na,1.5,2\n", "bad value '1.5' in column 'time'"),
         ("cluster,outcome,c\na,1,7\n", "bad value '7' in column 'c'"),
         ("cluster,outcome\n,1\n", "bad value '' in column 'cluster'"),
+        ("cluster,time,outcome\na,99999999999999999999,2\n",
+         "line 2: bad value '99999999999999999999' in column 'time'"),
+        ("cluster,outcome,c\na,1,99999999999999999999\n",
+         "line 2: bad value '99999999999999999999' in column 'c'"),
+        ("cluster,outcome\na,1\nb, nan \n", "line 3: bad value 'nan' in column 'outcome'"),
+        ("cluster,outcome\na,-inf\n", "line 2: bad value '-inf' in column 'outcome'"),
+        ("cluster,outcome\na,1e400\n", "line 2: bad value '1e400' in column 'outcome'"),
+        # line numbers count physical lines: the quoted id spans lines 2-3
+        ('cluster,outcome\n"a\nb",1\nc,2\nd,oops\n',
+         "line 5: bad value 'oops' in column 'outcome'"),
+        ('cluster,outcome\n"a\nb",1\nc,2,3\n', "line 4: expected 2 fields, got 3"),
     ],
 )
 def test_read_panel_csv_errors(tmp_path, body, fragment):
@@ -589,6 +600,23 @@ def test_read_panel_csv_errors(tmp_path, body, fragment):
     path.write_text(body)
     with pytest.raises(DataFormatError, match=re.escape(fragment)):
         read_panel_csv(str(path))
+
+
+@pytest.mark.parametrize("column,body", [
+    ("time", "cluster,time,outcome\na,1,0\na,99999999999999999999,1\n"),
+    ("c", "cluster,time,outcome,c\na,1,0,99999999999999999999\n"),
+    ("outcome", "cluster,time,outcome\na,1,0\na,2,nan\n"),
+])
+def test_bad_csv_values_exit_4_with_the_line(capsys, tmp_path, column, body):
+    # an int64 overflow or a non-finite outcome is a data error, not a traceback
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    code, out, err = _run(capsys, ["test", "--data", str(path), "--design", "did",
+                                   "--treated", "a", "--post-start", "2", "--rho", "1"])
+    assert code == 4 and out == ""
+    line = body.count("\n")
+    assert err.startswith("error:") and f"line {line}: bad value" in err
+    assert f"in column {column!r}" in err
 
 
 def test_read_panel_csv_quoted_hash_is_an_id(tmp_path):
@@ -630,7 +658,7 @@ def test_write_read_round_trip(tmp_path):
 # ids mixing letters with the characters a bare "," join used to split or
 # mangle: commas, double quotes, inner spaces and line breaks
 _IDS = st.text(alphabet='ab ,"\n#', min_size=1, max_size=6).filter(
-    lambda s: s.strip() == s and not s.startswith("#"))
+    lambda s: s.strip() == s)
 
 
 @settings(max_examples=60, deadline=None,
@@ -647,10 +675,22 @@ def test_write_read_round_trip_awkward_ids(tmp_path, clusters, units):
     assert np.array_equal(cols["outcome"], outcome)
 
 
-@pytest.mark.parametrize("bad", ["", " a", "a ", "#a"])
+@pytest.mark.parametrize("bad", ["", " a", "a "])
 def test_write_panel_csv_refuses_ids_that_would_read_back_changed(tmp_path, bad):
     with pytest.raises(InvalidParameterError, match="would not read back"):
         write_panel_csv(str(tmp_path / "x.csv"), ["a", bad], [1.0, 2.0])
+
+
+def test_write_panel_csv_quotes_rows_with_hash_ids(tmp_path):
+    # unquoted, a cluster id starting with '#' would read as a comment line
+    path = tmp_path / "hash.csv"
+    write_panel_csv(str(path), ["#a", "b", "#c"], [1.0, 2.5, -3.0], time=[1, 2, 3])
+    assert path.read_text() == (
+        'cluster,time,outcome\n"#a","1","1.0"\nb,2,2.5\n"#c","3","-3.0"\n')
+    cols = read_panel_csv(str(path))
+    assert cols["cluster"].tolist() == ["#a", "b", "#c"]
+    assert cols["time"].tolist() == [1, 2, 3]
+    assert cols["outcome"].tolist() == [1.0, 2.5, -3.0]
 
 
 # -------------------------------------------------------------- helpers

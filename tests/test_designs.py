@@ -1,6 +1,10 @@
 """Per-cluster effect extraction for the four supported panel designs."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stc.designs import DesignKind, Extraction, PanelData, extract
 from stc.errors import (
@@ -257,3 +261,72 @@ def test_triple_diff_empty_cell_is_rank_deficient():
     )
     with pytest.raises(RankDeficiencyError, match="'b'"):
         extract(broken, DesignKind.TRIPLE_DIFF)
+
+
+def _cell_mean_oracle(cluster, time, c, outcome, post_start, kind):
+    """Each cluster's estimate from its cell means, one cluster at a time."""
+    thetas = {}
+    for cid in sorted(set(cluster)):
+        rows = [(ci, t >= post_start, y)
+                for k, t, ci, y in zip(cluster, time, c, outcome) if k == cid]
+
+        def mean(group=None, post=None):
+            ys = [y for ci, p, y in rows
+                  if (group is None or ci == group) and (post is None or p == post)]
+            return math.fsum(ys) / len(ys)
+
+        if kind is DesignKind.CLUSTERED_MEAN:
+            thetas[cid] = mean()
+        elif kind is DesignKind.TRIPLE_DIFF:
+            thetas[cid] = ((mean(1, True) - mean(1, False))
+                           - (mean(0, True) - mean(0, False)))
+        else:
+            thetas[cid] = mean(post=True) - mean(post=False)
+    return thetas
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(list(DesignKind)))
+def test_extract_matches_a_cell_mean_oracle_and_ignores_row_order(data, kind):
+    m = data.draw(st.integers(2, 6), label="controls")
+    rows = []
+    for j, cid in enumerate([f"c{j}" for j in range(m)] + ["t"]):
+        for c in (0, 1):
+            for post in (0, 1):
+                n = data.draw(st.integers(1, 3))
+                ys = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+                ts = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+                # distinct cell offsets, so a wrong contrast shows even at y = 0
+                shift = (j + 1) * (1.0 + 2.0 * c + 4.0 * post + 8.0 * c * post)
+                rows += [(cid, t + 2 * post, c, y + shift) for t, y in zip(ts, ys)]
+    cluster, time, c, outcome = (np.array(col) for col in zip(*rows))
+
+    def panel(order):
+        return PanelData(cluster=cluster[order], outcome=outcome[order], treated_cluster="t",
+                         time=time[order], post_start=3, c_indicator=c[order])
+
+    res = extract(panel(np.arange(len(rows))), kind)
+    oracle = _cell_mean_oracle(cluster, time, c, outcome, 3, kind)
+    assert res.control_clusters == tuple(f"c{j}" for j in range(m))
+    assert res.estimates.controls == pytest.approx(
+        [oracle[cid] for cid in res.control_clusters], rel=0, abs=1e-12)
+    assert res.estimates.treated == pytest.approx(oracle["t"], rel=0, abs=1e-12)
+
+    order = data.draw(st.permutations(range(len(rows))), label="row order")
+    shuffled = extract(panel(np.array(order)), kind)
+    assert np.array_equal(shuffled.estimates.controls, res.estimates.controls)
+    assert shuffled.estimates.treated == res.estimates.treated
+    assert shuffled.delta_hat == res.delta_hat
+
+
+def test_the_first_broken_cluster_in_id_order_is_named():
+    # 'b' lacks a post observation and 'c' a pre observation; 'c' would fail
+    # the earlier check, but 'b' comes first in id order
+    cluster = np.array(["a", "a", "b", "c", "t", "t"])
+    time = np.array([1, 2, 1, 2, 1, 2])
+    outcome = np.arange(6.0)
+    for treated in ("t", "b"):
+        broken = PanelData(cluster=cluster, outcome=outcome, treated_cluster=treated,
+                           time=time, post_start=2)
+        with pytest.raises(DesignViolationError, match="'b' has no observations after"):
+            extract(broken, DesignKind.DID)
