@@ -30,7 +30,7 @@ print(f"  naive t(9) quantile: {naive:.4f}  (under-covers when rho >= 1)")
 spec2 = HeterogeneitySpec(m=10, k=2, rho=1.0)
 res2 = critical_value(10, 0.05, spec2)
 print(f"m=10, alpha=0.05, k=2, rho=1  ->  cv = {res2.cv:.4f}  ({res2.method}, "
-      f"{res2.iterations} bisection steps)")
+      f"{res2.p_max_calls[0]} complete and {res2.p_max_calls[1]} early-exit p_max calls)")
 
 # --- where the closed form applies --------------------------------------------
 # the k = 1 closed form is exact whenever the resulting cv lands at or above

@@ -114,6 +114,8 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
                 numbers.append(number)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a stray quote that swallows the file
+        raise DataFormatError(f"{path} line {seen + 1}: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: no header row found")
     header = [name.strip() for name in rows.pop(0)]

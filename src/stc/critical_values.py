@@ -14,14 +14,18 @@ worst-case rejection probability is at most alpha.  Two routes exist:
     k=1 closed-form value.
 
 `_first_true` is the one monotone inversion, doubling then bisection: it
-finds the critical value here, `c_underline`'s sign change of `h_bar`, and
-`inference.rho_frontier`'s bounds in rho.
+finds `c_underline`'s sign change of `h_bar`, and via `_certified_first_true`
+the critical value here and `inference.rho_frontier`'s bounds in rho.  That
+bisects on the few p_max branches that decide where p_max crosses alpha and
+certifies the bracket with two p_max calls, so a critical value makes 2
+complete p_max calls (with the reported one) instead of about 11.
 
 `generate_table` evaluates grids of critical values with per-cell error
 capture and CSV/JSON export (3 decimals, half-away-from-zero).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -29,8 +33,9 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .distributions import normal_quantile, t_quantile, t_two_sided_tail
-from .errors import InvalidParameterError, NoValidCriticalValueError, StcError, as_integer
-from .worstcase import HeterogeneitySpec, WorstCaseResult, p_max
+from .errors import (InvalidParameterError, NoValidCriticalValueError, NumericalFailureError,
+                     StcError, as_integer)
+from .worstcase import Boundary, HeterogeneitySpec, WorstCaseResult, _branch_value, p_max
 
 __all__ = [
     "CriticalValueResult",
@@ -52,12 +57,13 @@ _MAX_DOUBLINGS = 200
 
 
 def _first_true(pred, lo: float, hi: float, abs_tol: float = math.inf,
-                rel_tol: float = math.inf) -> tuple[float, int] | None:
-    """(x, bisection steps): x > lo is where the monotone ``pred`` first holds.
+                rel_tol: float = math.inf) -> tuple[float, float] | None:
+    """Final (lo, hi) bracket of where the monotone ``pred`` first holds.
 
     ``pred(lo)`` must be false.  A false ``pred(hi)`` puts the answer above
     hi, so lo rises to hi and hi doubles (None after `_MAX_DOUBLINGS`).  Then
-    bisection until hi - lo <= min(abs_tol, rel_tol * max(hi, 1e-12)); x = hi.
+    bisection until hi - lo <= min(abs_tol, rel_tol * max(hi, 1e-12)); the
+    answer is hi, and pred is false at lo.
     """
     for _ in range(_MAX_DOUBLINGS):
         if pred(hi):
@@ -65,15 +71,47 @@ def _first_true(pred, lo: float, hi: float, abs_tol: float = math.inf,
         lo, hi = hi, 2.0 * hi
     else:
         return None
-    steps = 0
     while hi - lo > min(abs_tol, rel_tol * max(hi, 1e-12)):
         mid = 0.5 * (lo + hi)
         if pred(mid):
             hi = mid
         else:
             lo = mid
-        steps += 1
-    return hi, steps
+    return lo, hi
+
+
+def _certified_first_true(p_at, branch_at, start, alpha: float, rising: bool,
+                          lo: float, hi: float, **tol) -> tuple[float, float] | None:
+    """`_first_true` of "p_max > alpha" (``rising``) or "p_max <= alpha".
+
+    The bisection runs on an active set of branches (``start`` at first):
+    the set is above alpha at x when some ``branch_at(x, branch)`` is.
+    ``p_at`` (p_max with stop_above=alpha) then certifies the bracket: at
+    the end where the set is at most alpha it must be too (else the branch
+    it finds joins the set and the bisection replays), and at the other end
+    it must be above alpha.  NumericalFailureError if either check fails.
+    """
+    active, value = [start], functools.cache(branch_at)  # memo of one inversion
+
+    def above(x: float) -> bool:
+        return any(value(x, branch) > alpha for branch in active)
+
+    while True:
+        found = _first_true(above if rising else lambda x: not above(x), lo, hi, **tol)
+        if found is None:
+            return None
+        at_most, beyond = found if rising else found[::-1]
+        cert = p_at(at_most)
+        if cert.diagnostics.complete and cert.value <= alpha:
+            break
+        cfg = cert.achieving_config
+        branch = (cfg.m1, cfg.m0) if isinstance(cfg, Boundary) else None
+        if branch in active:
+            raise NumericalFailureError(f"branch {branch} <= {alpha} at {at_most!r}, p_max is not")
+        active.append(branch)
+    if not p_at(beyond).value > alpha:
+        raise NumericalFailureError(f"branches {active} > {alpha} at {beyond!r}, p_max is not")
+    return found
 
 
 def _h_bar_domain(m: int) -> float:
@@ -121,7 +159,7 @@ def c_underline(m: int, rho: float) -> float:
     found = _first_true(lambda c: h_bar(m, c, rho) <= 0.0, lo, max(2.0 * lo, 2.0), abs_tol=1e-8)
     if found is None:  # pragma: no cover - h_bar -> negative limit guarantees termination
         raise NoValidCriticalValueError("h_bar never became negative")
-    return found[0]
+    return found[1]
 
 
 def _c_underline_grid(m: int, rho: float, step: float = 0.01) -> float:
@@ -163,7 +201,9 @@ class CriticalValueResult:
         alpha: two-sided level inverted.
         spec: the heterogeneity restriction used.
         worst_case: full worst-case evaluation at cv.
-        iterations: bisection iterations (0 for the closed form).
+        iterations: p_max calls inside the certified bracket (1 on the
+            Optimized path, 0 for the closed form or a lowest-c hit).
+        p_max_calls: (complete, early-exit) `p_max` calls made.
     """
 
     cv: float
@@ -172,23 +212,20 @@ class CriticalValueResult:
     spec: HeterogeneitySpec
     worst_case: WorstCaseResult
     iterations: int
+    p_max_calls: tuple[int, int]
 
 
 def _closed_form_k1(m: int, alpha: float, rho: float) -> float:
     return math.sqrt(rho * rho + 1.0 / m) * float(t_quantile(m - 1, 1.0 - alpha / 2.0))
 
 
-def critical_value(
-    m: int,
-    alpha: float,
-    spec: HeterogeneitySpec,
-) -> CriticalValueResult:
+def critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalValueResult:
     """Smallest c with worst-case rejection probability <= alpha (two-sided).
 
     Uses the exact closed form when its validity condition holds (k = 1,
     m >= 4, rho > 0 and alpha <= alpha_underline); otherwise inverts
-    `p_max` with `_first_true` to a bracket width of 5e-5 (returning its
-    upper end).
+    `p_max` with `_certified_first_true` to a bracket width of 5e-5
+    (returning its upper end).
 
     Raises:
         InvalidParameterError: alpha outside (0, 0.5) or mismatched spec.
@@ -202,47 +239,41 @@ def critical_value(
         raise InvalidParameterError(f"spec.m={spec.m} does not match m={m}")
     k, rho = spec.k, spec.rho
 
+    calls = [0, 0]  # complete and early-exit p_max calls
+
+    def p_at(c: float, stop_above: float | None = alpha) -> WorstCaseResult:
+        res = p_max(m, c, spec, stop_above=stop_above)
+        calls[not res.diagnostics.complete] += 1
+        return res
+
     if k == 1 and m >= 4 and rho > 0 and alpha <= alpha_underline(m, rho):
         cv, method, iterations = _closed_form_k1(m, alpha, rho), "ClosedFormK1", 0
     else:
-        def attains(c: float) -> bool:
-            return p_max(m, c, spec, stop_above=alpha).value <= alpha
-
         method = "Optimized"
         cv, iterations = 1.0 / math.sqrt(m) + 1e-6, 0
         # at the lowest admissible threshold the level may already be attained
-        if not attains(cv):
+        if p_at(cv).value > alpha:
             guess = math.sqrt(m / (m - k + 1.0)) * rho * float(normal_quantile(1.0 - alpha / 2.0))
             hi = 2.0 * (guess + _closed_form_k1(m, alpha, max(rho, 0.0)) + 1.0)
-            found = _first_true(attains, cv, hi, abs_tol=_CV_WIDTH, rel_tol=0.99e-4)
+            found = _certified_first_true(
+                p_at, lambda c, branch: _branch_value(m, c, spec, branch),
+                (m - k + 1, k - 1) if rho > 0 else None, alpha, False,
+                cv, hi, abs_tol=_CV_WIDTH, rel_tol=0.99e-4)
             if found is None:
                 floor = p_max(m, math.ldexp(hi, _MAX_DOUBLINGS), spec).value
                 raise NoValidCriticalValueError(
                     f"worst-case rejection probability stays above alpha={alpha}"
-                    f" for all thresholds searched (floor ~{floor})",
-                    floor=floor,
-                )
-            cv, iterations = found
-    return CriticalValueResult(
-        cv=cv,
-        method=method,
-        alpha=alpha,
-        spec=spec,
-        worst_case=p_max(m, cv, spec),
-        iterations=iterations,
-    )
+                    f" for all thresholds searched (floor ~{floor})", floor=floor)
+            cv, iterations = found[1], 1
+    worst_case = p_at(cv, None)
+    return CriticalValueResult(cv=cv, method=method, alpha=alpha, spec=spec, worst_case=worst_case,
+                               iterations=iterations, p_max_calls=tuple(calls))
 
 
-def one_sided_critical_value(
-    m: int,
-    alpha: float,
-    spec: HeterogeneitySpec,
-) -> CriticalValueResult:
+def one_sided_critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalValueResult:
     """One-sided critical value at level alpha: the two-sided value at 2*alpha."""
     if not (0.0 < alpha < 0.25):
-        raise InvalidParameterError(
-            f"one-sided alpha must lie in (0, 0.25), got {alpha!r}"
-        )
+        raise InvalidParameterError(f"one-sided alpha must lie in (0, 0.25), got {alpha!r}")
     return critical_value(m, 2.0 * alpha, spec)
 
 

@@ -18,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical_values import (
-    CriticalValueResult,
-    _first_true,
-    critical_value,
-    one_sided_critical_value,
-)
+from .critical_values import (CriticalValueResult, _certified_first_true, critical_value,
+                              one_sided_critical_value)
 from .distributions import normal_cdf, normal_quantile
 from .errors import InvalidParameterError, NumericalFailureError, as_integer
-from .worstcase import HeterogeneitySpec, p_max, p_zero_treated
+from .worstcase import HeterogeneitySpec, _branch_value, p_max
 
 __all__ = [
     "ClusterEstimates",
@@ -213,10 +209,11 @@ def run_test(
 def rho_frontier(est: ClusterEstimates, alpha: float) -> RhoFrontier:
     """Breakdown bound rho_hat_k = inf{rho >= 0 : worst-case p > alpha}, all k.
 
-    `critical_values._first_true` inverts in rho (the worst-case tail is
-    nondecreasing in rho) from rho = 0, relative tolerance 1e-4; each k's
-    search starts its upper end at the previous k's bound, and the output
-    is clipped to it, which enforces the nonincreasing-in-k shape.
+    `critical_values._certified_first_true` inverts in rho (the worst-case
+    tail is nondecreasing in rho) from rho = 0, relative tolerance 1e-4,
+    from the warm-start branch (m-k+1, k-1); each k's search starts its
+    upper end at the previous k's bound, and the output is clipped to it,
+    which enforces the nonincreasing-in-k shape.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -225,22 +222,21 @@ def rho_frontier(est: ClusterEstimates, alpha: float) -> RhoFrontier:
     at = abs(t)
     if math.isinf(at):
         return RhoFrontier(alpha=alpha, bounds=(math.inf,) * m)
-    if at == 0.0 or p_zero_treated(m, at) > alpha:
-        # not significant even with a zero treated variance
+    if _branch_value(m, at, HeterogeneitySpec(m, 1, 0.0), None) > alpha:
+        # not significant even with a zero treated variance (p_max at rho = 0)
         return RhoFrontier(alpha=alpha, bounds=(0.0,) * m)
-
-    def exceeds(k: int, rho: float) -> bool:
-        spec = HeterogeneitySpec(m=m, k=k, rho=rho)
-        return p_max(m, at, spec, stop_above=alpha).value > alpha
 
     bounds: list[float] = []
     prev = math.inf
     for k in range(1, m + 1):
         hi = prev if math.isfinite(prev) else 1.0  # every bound is > 0
-        found = _first_true(lambda rho: exceeds(k, rho), 0.0, hi, rel_tol=_FRONTIER_REL_TOL)
+        found = _certified_first_true(
+            lambda rho: p_max(m, at, HeterogeneitySpec(m, k, rho), stop_above=alpha),
+            lambda rho, branch: _branch_value(m, at, HeterogeneitySpec(m, k, rho), branch),
+            (m - k + 1, k - 1), alpha, True, 0.0, hi, rel_tol=_FRONTIER_REL_TOL)
         if found is None:  # pragma: no cover - a large enough rho always pushes p to 1
             raise NumericalFailureError(f"no rho found with worst-case p > {alpha} at k={k}")
-        prev = min(found[0], prev)
+        prev = min(found[1], prev)
         bounds.append(prev)
     return RhoFrontier(alpha=alpha, bounds=tuple(bounds))
 

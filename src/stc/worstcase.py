@@ -268,6 +268,17 @@ def p_tilde(
     return traces[0].value
 
 
+def _branch_value(m: int, c: float, spec: HeterogeneitySpec, branch) -> float:
+    """Branch (m1, m0), or the zero-treated one (None), == to its `p_max` trace.
+
+    As in `p_max`: 1 at c <= m^{-1/2}; at rho = 0 only the zero-treated one."""
+    if c * c * m <= 1.0 + 1e-12:
+        return 1.0
+    if branch is None or spec.rho == 0.0:
+        return _p_zero_treated_detail(m, c)[0]
+    return p_tilde(m, c, spec.k, spec.rho, *branch)
+
+
 def _branch_order(m: int, k: int) -> list[tuple[int, int]]:
     """(m1, m0) enumeration with the large-m warm start first.
 
@@ -442,8 +453,8 @@ def p_max(
 
     ``stop_above`` allows the caller to ask only whether the maximum exceeds
     a threshold: the search returns early (diagnostics.complete = False,
-    value a certified lower bound) once that is established.  Critical-value
-    bisection uses this; exact values always pass stop_above = None.
+    value a certified lower bound) once that is established.  The certified
+    inversions use this; exact values always pass stop_above = None.
     """
     m, c = _validate_mc(m, c)
     if spec.m != m:

@@ -619,6 +619,16 @@ def test_bad_csv_values_exit_4_with_the_line(capsys, tmp_path, column, body):
     assert f"in column {column!r}" in err
 
 
+def test_stray_quote_in_a_large_csv_exits_4_with_the_line(capsys, tmp_path):
+    # the quoted field swallows the rest of the file and outgrows csv's limit
+    path = tmp_path / "stray.csv"
+    path.write_text('cluster,outcome\n"a,1\n' + "b,2\n" * 40_000)
+    code, out, err = _run(capsys, ["test", "--data", str(path), "--design", "mean",
+                                   "--treated", "a", "--rho", "1"])
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "line 2: field larger than field limit" in err
+
+
 def test_read_panel_csv_quoted_hash_is_an_id(tmp_path):
     # only an unquoted '#' starts a comment; "#a" is a cluster id
     path = tmp_path / "hash.csv"

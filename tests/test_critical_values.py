@@ -9,6 +9,7 @@ from stc.critical_values import (
     _MAX_DOUBLINGS,
     Table,
     TableCell,
+    _closed_form_k1,
     _first_true,
     alpha_underline,
     c_underline,
@@ -18,8 +19,8 @@ from stc.critical_values import (
     one_sided_critical_value,
     round3,
 )
-from stc.distributions import t_quantile, t_two_sided_tail
-from stc.errors import InvalidParameterError, NoValidCriticalValueError
+from stc.distributions import normal_quantile, t_quantile, t_two_sided_tail
+from stc.errors import InvalidParameterError, NoValidCriticalValueError, NumericalFailureError
 from stc.worstcase import HeterogeneitySpec, p_max
 
 from _reference_tables import MAX_ALPHA_PERCENT
@@ -53,15 +54,17 @@ def _counted(threshold):
 )
 def test_first_true_finds_the_threshold(threshold, hi, doublings, abs_tol, rel_tol):
     pred, calls = _counted(threshold)
-    x, steps = _first_true(pred, 0.0, hi, abs_tol=abs_tol, rel_tol=rel_tol)
+    lo, x = _first_true(pred, 0.0, hi, abs_tol=abs_tol, rel_tol=rel_tol)
     width = min(abs_tol, rel_tol * max(x, 1e-12))
-    assert pred(x) and not pred(x - width)
-    assert x - threshold <= width
-    assert len(calls) - 2 == doublings + 1 + steps  # the two asserted calls aside
+    assert pred(x) and not pred(x - width) and not pred(lo)
+    assert x - threshold <= width and 0.0 < x - lo <= width
     assert calls[:doublings + 1] == [hi * 2.0**i for i in range(doublings + 1)]
-    # a failed doubling proves the threshold lies above it: bisection starts there
-    lo = hi * 2.0**(doublings - 1) if doublings else 0.0
-    assert all(lo < c < hi * 2.0**doublings for c in calls[doublings + 1:-2])
+    # a failed doubling proves the threshold lies above it: bisection starts
+    # there, and each later call halves the bracket once
+    start = hi * 2.0**(doublings - 1) if doublings else 0.0
+    steps = len(calls) - 3 - (doublings + 1)  # the three asserted calls aside
+    assert x - lo == pytest.approx((hi * 2.0**doublings - start) / 2.0**steps, rel=1e-9)
+    assert all(start < c < hi * 2.0**doublings for c in calls[doublings + 1:-3])
 
 
 def test_first_true_gives_up_after_its_doublings():
@@ -73,19 +76,87 @@ def test_first_true_gives_up_after_its_doublings():
 def test_critical_value_exhaustion_reports_the_floor(monkeypatch):
     import stc.critical_values as cv_mod
 
-    calls = []
+    calls, branch_calls = [], []
 
     def flat(m, c, spec, stop_above=None):
         calls.append(c)
-        return types.SimpleNamespace(value=0.2)
+        return types.SimpleNamespace(value=0.2, diagnostics=types.SimpleNamespace(complete=False))
+
+    def flat_branch(m, c, spec, branch):
+        branch_calls.append(c)
+        return 0.2
 
     monkeypatch.setattr(cv_mod, "p_max", flat)
+    monkeypatch.setattr(cv_mod, "_branch_value", flat_branch)
     with pytest.raises(NoValidCriticalValueError, match="floor") as info:
         critical_value(5, 0.05, _spec(5, 2, 1.0))
     assert info.value.floor == 0.2
-    # the lowest threshold, every doubling, then the floor beyond the last one
-    assert len(calls) == 1 + _MAX_DOUBLINGS + 1
-    assert calls[-1] == 2.0 * calls[-2]
+    # p_max at the lowest threshold, the warm-start branch at every
+    # doubling, then p_max for the floor beyond the last one
+    assert len(calls) == 2 and len(branch_calls) == _MAX_DOUBLINGS
+    assert calls[-1] == 2.0 * branch_calls[-1]
+
+
+# ------------------------------------------ the certified active-set inversion
+
+
+def _plain_cv(m, alpha, spec):
+    """Doubling then bisection on p_max itself, from critical_value's bracket."""
+    lo = 1.0 / math.sqrt(m) + 1e-6
+    guess = math.sqrt(m / (m - spec.k + 1.0)) * spec.rho * float(normal_quantile(1.0 - alpha / 2.0))
+    hi = 2.0 * (guess + _closed_form_k1(m, alpha, spec.rho) + 1.0)
+
+    def attains(c):
+        return p_max(m, c, spec, stop_above=alpha).value <= alpha
+
+    while not attains(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > min(5e-5, 0.99e-4 * hi):
+        mid = 0.5 * (lo + hi)
+        if attains(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize(
+    "m,alpha,k,rho,grows",
+    [
+        (3, 0.01, 2, 0.2, True),
+        (4, 0.1, 3, 0.2, True),
+        (5, 0.01, 2, 0.5, True),
+        (5, 0.05, 2, 0.0, False),  # the zero-treated branch alone
+        (5, 0.01, 2, 0.6, True),   # a free branch decides
+        (6, 0.05, 2, 1.0, False),  # the warm-start branch decides
+    ],
+)
+def test_certified_inversion_equals_bisection_on_p_max(m, alpha, k, rho, grows):
+    spec = _spec(m, k, rho)
+    res = critical_value(m, alpha, spec)
+    assert res.method == "Optimized" and res.iterations == 1
+    assert res.cv == _plain_cv(m, alpha, spec)
+    complete, early = res.p_max_calls
+    if rho > 0:
+        # certificate and final value; lower probe, refuted certificates
+        # (one per branch that joined the active set) and the lower-end check
+        assert complete == 2 and (early > 2) == grows
+    else:  # at rho = 0 p_max never exits early
+        assert (complete, early) == (4, 0)
+    if (m, rho) == (5, 0.6):
+        assert res.worst_case.achieving_config.gamma is not None
+
+
+@pytest.mark.parametrize("distort", [lambda v: v + 1e-3, lambda v: max(v - 1e-2, 0.0)],
+                         ids=["over", "under"])
+def test_a_branch_that_disagrees_with_p_max_fails_loudly(monkeypatch, distort):
+    import stc.critical_values as cv_mod
+
+    true_value = cv_mod._branch_value
+    monkeypatch.setattr(cv_mod, "_branch_value",
+                        lambda m, c, spec, branch: distort(true_value(m, c, spec, branch)))
+    with pytest.raises(NumericalFailureError):
+        critical_value(5, 0.05, _spec(5, 2, 1.0))
 
 
 # ---------------------------------------------------------------- h_bar

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stc.errors import InvalidParameterError
+from stc.critical_values import _first_true
+from stc.errors import InvalidParameterError, NumericalFailureError
 from stc.inference import (
     ClusterEstimates,
     RhoFrontier,
@@ -195,6 +196,10 @@ def test_frontier_zero_and_infinite_cases():
     assert tiny.bounds == (0.0, 0.0, 0.0)  # |t|=0.5 is below the worthless cutoff
     inf = rho_frontier(ClusterEstimates(np.array([1.0, 1.0]), 9.0), 0.05)
     assert inf.bounds == (math.inf, math.inf)
+    # |t| = m^{-1/2}: p_max is 1 at every rho, so even alpha = 0.6 breaks at 0
+    controls = np.array([-1.0, -1.0, 1.0, 1.0])
+    edge = ClusterEstimates(controls, 0.5 * float(np.std(controls, ddof=1)))
+    assert rho_frontier(edge, 0.6).bounds == (0.0,) * 4
 
 
 def test_frontier_shape_and_duality():
@@ -250,6 +255,46 @@ def test_reject_is_p_value_at_most_alpha(controls, treated, k, rho, alpha, sided
     if report.cv.cv - 5e-5 <= abs(report.t_stat) <= report.cv.cv:
         return
     assert report.reject == (report.p_value <= alpha)
+
+
+def _plain_frontier(est, alpha):
+    """`_first_true` on p_max itself, with rho_frontier's brackets and clip."""
+    t = abs(t_statistic(est)[0])
+    bounds, prev = [], math.inf
+    for k in range(1, est.m + 1):
+        def exceeds(rho):
+            return p_max(est.m, t, HeterogeneitySpec(est.m, k, rho), stop_above=alpha).value > alpha
+        _, hi = _first_true(exceeds, 0.0, prev if math.isfinite(prev) else 1.0, rel_tol=1e-4)
+        prev = min(hi, prev)
+        bounds.append(prev)
+    return tuple(bounds)
+
+
+def _frontier_panels():
+    rng = np.random.default_rng(7)
+    for m in (3, 3, 4, 5, 5):
+        controls = rng.normal(size=m)
+        t = rng.uniform(3.0, 8.0)
+        yield ClusterEstimates(controls, float(np.mean(controls) + t * np.std(controls, ddof=1)))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1])
+def test_frontier_equals_bisection_on_p_max(alpha):
+    for est in _frontier_panels():
+        bounds = rho_frontier(est, alpha).bounds
+        assert bounds[0] > 0.0 and bounds == _plain_frontier(est, alpha)
+
+
+@pytest.mark.parametrize("distort", [lambda v: v + 1e-3, lambda v: max(v - 1e-2, 0.0)],
+                         ids=["over", "under"])
+def test_frontier_branch_that_disagrees_with_p_max_fails_loudly(monkeypatch, distort):
+    import stc.inference as inference
+
+    true_value = inference._branch_value
+    monkeypatch.setattr(inference, "_branch_value",
+                        lambda m, c, spec, branch: distort(true_value(m, c, spec, branch)))
+    with pytest.raises(NumericalFailureError):
+        rho_frontier(ClusterEstimates(np.array([0.1, -0.2, 0.15, -0.05]), 2.4), 0.05)
 
 
 def test_frontier_monotone_in_alpha():

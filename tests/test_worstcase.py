@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stc.charpoly import GammaConfig
 from stc.critical_values import _closed_form_k1
@@ -16,6 +18,7 @@ from stc.worstcase import (
     ZeroTreated,
     _boundary_rows,
     _branch_order,
+    _branch_value,
     _optimize_gamma_branches,
     p_bar,
     p_max,
@@ -189,6 +192,51 @@ def test_p_max_monotone_in_rho_k_and_c():
     assert all(a <= b + 1e-9 for a, b in zip(vals_k, vals_k[1:]))
     vals_c = [p_max(m, c, spec(2, 1.5)).value for c in (1.0, 1.8, 2.6, 3.4)]
     assert all(a >= b - 1e-9 for a, b in zip(vals_c, vals_c[1:]))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 8),
+    k_frac=st.floats(0.0, 1.0),
+    # below about rho = 3e-73 the ratio 1/rho overflows the root solve and
+    # p_max raises NumericalFailureError, a defect of its own
+    rho=st.one_of(st.just(0.0), st.floats(1e-6, 3.0)),
+    c_scale=st.floats(1.01, 8.0),
+    step=st.floats(1.01, 1.5),
+)
+def test_p_max_is_monotone(m, k_frac, rho, c_scale, step):
+    # the certified inversions replay a bisection on branch values; that it
+    # is p_max's own bisection rests on this monotonicity
+    k = min(1 + int(k_frac * m), m)
+    c = c_scale / math.sqrt(m)
+
+    def p(c=c, k=k, rho=rho):
+        return p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho)).value
+
+    here = p()
+    assert p(c=c * step) <= here + 1e-9
+    assert p(rho=rho * step + 0.01) >= here - 1e-9
+    if k < m:
+        assert p(k=k + 1) >= here - 1e-9
+
+
+def test_branch_value_equals_each_p_max_trace():
+    rng = np.random.default_rng(10)
+    for _ in range(12):
+        m = int(rng.integers(2, 9))
+        k = int(rng.integers(1, m + 1))
+        rho = float(rng.choice([0.0, rng.uniform(0.1, 3.0)]))
+        c = float(rng.uniform(1.01, 6.0)) / math.sqrt(m)
+        spec = HeterogeneitySpec(m=m, k=k, rho=rho)
+        res = p_max(m, c, spec)
+        assert _branch_value(m, c, spec, None) == res.diagnostics.zero_treated_value
+        for tr in res.diagnostics.branches:
+            assert _branch_value(m, c, spec, (tr.m1, tr.m0)) == tr.value, (m, k, rho, c, tr)
+        if rho == 0.0:  # no boundary branch: each reads the zero-treated value
+            assert _branch_value(m, c, spec, (m - k + 1, k - 1)) == res.value
+    # at a worthless threshold every branch is 1, as p_max is
+    spec = HeterogeneitySpec(m=4, k=2, rho=1.0)
+    assert _branch_value(4, 0.5, spec, (3, 1)) == _branch_value(4, 0.5, spec, None) == 1.0
 
 
 def test_stop_above_certifies_exceedance():
