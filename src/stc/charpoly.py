@@ -148,33 +148,35 @@ def _root_bracket(x: np.ndarray, n: np.ndarray, tau: float, m: int) -> tuple[np.
 
 def _constraint_minus_one(t: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_j w_j/(x_j + t) - 1 per row, w = n*(1 + tau*x); strictly decreasing in t > 0."""
-    return np.sum(w / (x + t[:, None]), axis=1) - 1.0
+    return np.add.reduce(w / (x + t[:, None]), axis=1) - 1.0
 
 
 def _roots_batch(x: np.ndarray, n: np.ndarray, tau: float, m: int) -> np.ndarray:
-    """Vectorized |theta_{m+1}| for rows of grouped values x with counts n:
-    bisection then Newton on sum_j n_j (1 + tau*x_j)/(x_j + t) = 1.
+    """Vectorized |theta_{m+1}| for rows of grouped values x with counts n: the
+    root of F(t) = sum_j w_j/(x_j + t) = 1, w_j = n_j (1 + tau*x_j).
 
-    The constraint's left side minus one is strictly decreasing and convex
-    in t > 0, so Newton iterates started on the below-root side of the
-    certified bracket converge monotonically upward.  Four steps after a
-    coarse bisection resolve t to within the constraint's float rounding,
-    a relative r = 16 eps / (t |f'(t)|): above machine precision where c is
-    near m^{-1/2} and the ratios span many orders of magnitude.
+    Eight rounds of geometric bisection (sqrt(lo)*sqrt(hi): no overflow) on
+    the certified bracket, then five Newton steps from its lower end on
+    H = 1/F, each t += F(F - 1)/sum_j w_j/(x_j + t)^2.  H, the parallel sum of
+    the maps (x_j + t)/w_j, is concave and increasing, so the iterates rise
+    to the root without overshooting (in one step if one group dominates).  t is
+    resolved to within the constraint's float rounding, a relative r = 16 eps
+    / (t |f'(t)|): above machine precision where c is near m^{-1/2} and the
+    ratios span many orders of magnitude.
     """
     lo, hi = _root_bracket(x, n, tau, m)
     w = n * (1.0 + tau * x)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
+    for _ in range(8):
+        mid = np.sqrt(lo) * np.sqrt(hi)
         take_lo = _constraint_minus_one(mid, x, w) > 0.0
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
     t = lo
-    for _ in range(4):
+    for _ in range(5):
         xt = x + t[:, None]
-        f = np.sum(w / xt, axis=1) - 1.0
-        fp = np.sum(w / (xt * xt), axis=1)
-        t = np.minimum(t + f / fp, hi)
+        r = w / xt
+        f = np.add.reduce(r, axis=1)
+        t = np.minimum(t + f * (f - 1.0) / np.add.reduce(r / xt, axis=1), hi)
     return t
 
 

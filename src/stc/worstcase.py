@@ -268,13 +268,21 @@ def p_tilde(
     return traces[0].value
 
 
+def _zero_treated_only(m: int, c: float, rho: float) -> bool:
+    """rho = 0, or so small that the boundary rows would overflow the kernel
+    (its largest product is below m*(1 + kappa)*gamma^2, gamma up to 1e4/rho);
+    `p_max` is then its rho -> 0+ limit, the zero-treated value."""
+    top = 1e4 * max(1.0, 1.0 / rho) if rho > 0.0 else math.inf
+    return not math.isfinite(m * (1.0 + m * c * c / (m - 1)) * top * top)
+
+
 def _branch_value(m: int, c: float, spec: HeterogeneitySpec, branch) -> float:
     """Branch (m1, m0), or the zero-treated one (None), == to its `p_max` trace.
 
-    As in `p_max`: 1 at c <= m^{-1/2}; at rho = 0 only the zero-treated one."""
+    As in `p_max`: 1 at c <= m^{-1/2}; the zero-treated one if `_zero_treated_only`."""
     if c * c * m <= 1.0 + 1e-12:
         return 1.0
-    if branch is None or spec.rho == 0.0:
+    if branch is None or _zero_treated_only(m, c, spec.rho):
         return _p_zero_treated_detail(m, c)[0]
     return p_tilde(m, c, spec.k, spec.rho, *branch)
 
@@ -446,10 +454,10 @@ def p_max(
     """Maximum rejection probability over the (k, rho) feasible set.
 
     Returns 1 with a degeneracy flag for c <= m^{-1/2} (every test at such a
-    threshold is worthless); returns the zero-treated worst case alone when
-    rho = 0; otherwise maximizes over the zero-treated branch and all
-    boundary branches.  Ties between the zero-treated branch and a boundary
-    branch report the boundary branch.
+    threshold is worthless); returns the zero-treated worst case alone at rho
+    = 0 or below about 1e-150 (`_zero_treated_only`); otherwise maximizes over
+    the zero-treated branch and all boundary branches.  Ties between the
+    zero-treated branch and a boundary branch report the boundary branch.
 
     ``stop_above`` allows the caller to ask only whether the maximum exceeds
     a threshold: the search returns early (diagnostics.complete = False,
@@ -469,7 +477,7 @@ def p_max(
         )
 
     p0, j0 = _p_zero_treated_detail(m, c)
-    if rho == 0.0:
+    if _zero_treated_only(m, c, rho):
         return WorstCaseResult(
             value=p0,
             achieving_config=ZeroTreated(j=j0),

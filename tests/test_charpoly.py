@@ -1,12 +1,21 @@
 """Characteristic-function evaluation and its unique negative root."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from stc.charpoly import GammaConfig, g_value, negative_root, theta_lower_bound
+from stc.charpoly import (
+    GammaConfig,
+    _root_bracket,
+    _roots_batch,
+    g_value,
+    negative_root,
+    theta_lower_bound,
+)
 from stc.errors import InvalidParameterError
 from stc.rejection import DEFAULT_SETTINGS, _tail_quadrature
+from stc.worstcase import _boundary_rows
 
 RNG_SWEEP = 1000
 
@@ -204,3 +213,92 @@ def test_flat_root_uncertainty_barely_moves_the_tail():
         tails = _tail_quadrature(x, np.ones_like(x), ends, cfg.tau, cfg.m, DEFAULT_SETTINGS)
         assert abs(tails[1] - tails[0]) <= 1e-9
     assert flat >= 50
+
+
+def _bisection_newton_roots(x, n, tau, m):
+    # the root solver this one replaced, kept as an oracle: 40 rounds of
+    # arithmetic bisection on the certified bracket, then 4 Newton steps on
+    # the constraint itself
+    lo, hi = _root_bracket(x, n, tau, m)
+    w = n * (1.0 + tau * x)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        take_lo = np.sum(w / (x + mid[:, None]), axis=1) - 1.0 > 0.0
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    t = lo
+    for _ in range(4):
+        xt = x + t[:, None]
+        f = np.sum(w / xt, axis=1) - 1.0
+        fp = np.sum(w / (xt * xt), axis=1)
+        t = np.minimum(t + f / fp, hi)
+    return t
+
+
+def _search_root_batches(rng, batches, size):
+    # boundary rows as p_max builds them, one (m, rho, c) per batch: m from 2
+    # to 200, rho from 1e-3 to 30, c down to m^{-1/2}(1 + 1e-8), and the free
+    # ratio anywhere on its grid's range, its ends included
+    for _ in range(batches):
+        m = int(round(math.exp(rng.uniform(math.log(2), math.log(200)))))
+        k = int(rng.integers(1, m + 1))
+        rho = float(10.0 ** rng.uniform(-3.0, math.log10(30.0)))
+        c = m**-0.5 * (1.0 + 10.0 ** rng.uniform(-8.0, 1.2))
+        m0 = rng.integers(0, k, size=size)
+        m1 = rng.integers(0, m - m0 + 1)
+        lower = np.where(m1 >= m - k + 1, 1e-6, 1.0 / rho)
+        top = 1e4 * max(1.0, 1.0 / rho)
+        gamma = np.exp(rng.uniform(np.log(lower), math.log(top)))
+        gamma[rng.random(size) < 0.1] = top
+        keep = (m1 > 0) | (m1 + m0 < m)
+        values, counts = _boundary_rows(m, rho, m1[keep], m0[keep], gamma[keep])
+        yield m, c, values, counts
+
+
+def _mp_root(values, counts, c):
+    # |theta_{m+1}| of one grouped row by bisection at 30 digits
+    with mp.workdps(30):
+        m = int(sum(counts))
+        kappa = m * mp.mpf(c) ** 2 / (m - 1)
+        tau = (kappa + 1) / (m * kappa)
+        groups = [(int(n), kappa * mp.mpf(v) ** 2) for v, n in zip(values, counts) if n > 0]
+        lo, hi = mp.mpf(m), m + max(x for _, x in groups) / kappa + 1
+        while hi - lo > 1e-25 * hi:
+            mid = (lo + hi) / 2
+            if mp.fsum(n * (1 + tau * x) / (x + mid) for n, x in groups) > 1:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+def test_root_solve_matches_bisection_then_newton():
+    # the geometric bisection + Newton-on-1/F solver against the solver it
+    # replaced: the two must agree within the window that the constraint's
+    # float rounding leaves the root.  Where they do not, the old solver's
+    # four Newton steps had not converged (a far root at small rho), so a
+    # 30-digit root must put the new one inside that window and the old one
+    # outside.
+    rng = np.random.default_rng(1101)
+    checked = unconverged = 0
+    for m, c, values, counts in _search_root_batches(rng, 60, 40):
+        kappa = m * c * c / (m - 1)
+        tau = (kappa + 1.0) / (m * kappa)
+        x = kappa * values * values
+        new, old = _roots_batch(x, counts, tau, m), _bisection_newton_roots(x, counts, tau, m)
+        for i in range(x.shape[0]):
+            cfg = GammaConfig(np.repeat(values[i], counts[i].astype(int)), c)
+            r = _root_window(cfg, old[i])
+            checked += 1
+            if abs(new[i] - old[i]) > r * old[i]:
+                exact = _mp_root(values[i], counts[i], c)
+                assert abs(new[i] - exact) <= r * exact < abs(old[i] - exact), cfg
+                unconverged += 1
+    assert checked >= 2000 and unconverged <= 5
+    for _ in range(600):
+        cfg = _extreme_config(rng)
+        x = cfg.x[None, :]
+        n = np.ones_like(x)
+        new = _roots_batch(x, n, cfg.tau, cfg.m)[0]
+        old = _bisection_newton_roots(x, n, cfg.tau, cfg.m)[0]
+        assert abs(new - old) <= _root_window(cfg, old) * old, (cfg, new, old)

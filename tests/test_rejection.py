@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stc.distributions import t_two_sided_tail
-from stc.charpoly import GammaConfig
+from stc.charpoly import GammaConfig, _roots_batch
 from stc.errors import InvalidParameterError
 from stc.rejection import (
     DEFAULT_SETTINGS,
     QuadratureSettings,
+    _nodes_weights,
+    _tail_quadrature,
     _tails_for_gamma_rows,
     rejection_probability,
 )
@@ -62,6 +66,25 @@ def test_permutation_invariance():
     for _ in range(10):
         shuffled = rejection_probability(GammaConfig(rng.permutation(gammas), 2.5))
         assert shuffled == pytest.approx(base, rel=1e-12)
+
+
+_RATIO = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    pair=st.lists(_RATIO, min_size=2, max_size=8)
+    .filter(lambda ratios: max(ratios) > 0.0)
+    .flatmap(lambda ratios: st.tuples(st.just(ratios), st.permutations(ratios))),
+    c_scale=st.floats(1.01, 8.0),
+)
+def test_rejection_probability_is_permutation_invariant(pair, c_scale):
+    # the kernel adds the listed ratios' terms in their order, so a
+    # permutation may move the value by rounding only
+    ratios, permuted = pair
+    c = c_scale / math.sqrt(len(ratios))
+    base = rejection_probability(GammaConfig(np.array(ratios), c))
+    assert abs(rejection_probability(GammaConfig(np.array(permuted), c)) - base) <= 1e-14
 
 
 def test_panel_doubling_is_converged():
@@ -170,3 +193,67 @@ def test_monte_carlo_oracle_heterogeneous():
         sigmas = np.append(gammas, 1.0)  # controls then treated, sigma_{m+1}=1
         mc = empirical_rejection_rate(sigmas, delta=0.0, c=c, reps=400_000, seed=314)
         assert abs(analytic - mc.rejection_rate) <= 4.0 * mc.se
+
+
+def _axis_sum_tail_quadrature(x, n, t, tau, m, settings):
+    # the tail kernel as it was before it summed group by group, kept as an
+    # oracle: one (rows, nodes, groups) array per chunk, reduced by np.sum
+    # over the group axis
+    u, wu = _nodes_weights(settings.panels, settings.nodes_per_panel)
+    sin_u = np.sin(u)
+    sin2_u = sin_u * sin_u
+    out = np.empty(x.shape[0])
+    chunk = max(1, 4_000_000 // (u.size * x.shape[1]))
+    for start in range(0, x.shape[0], chunk):
+        xb, nb, tb = (arr[start : start + chunk] for arr in (x, n, t))
+        s = tb[:, None] * sin2_u[None, :]
+        xs = xb[:, None, :] + s[:, :, None]
+        log_q = np.sum(nb[:, None, :] * np.log(xs), axis=2)
+        a = nb * ((1.0 + tau * xb) / (xb + tb[:, None]))
+        ratio_sum = np.sum(a[:, None, :] / xs, axis=2)
+        log_u_term = (0.5 * m - 1.0) * np.log(s) - 0.5 * (log_q + np.log(ratio_sum))
+        integrand = 2.0 * np.sqrt(tb)[:, None] * sin_u[None, :] * np.exp(log_u_term)
+        out[start : start + chunk] = np.sum(integrand * wu, axis=1) / math.pi
+    return out
+
+
+def test_group_sums_equal_the_axis_sum_kernel():
+    # boundary rows have three groups, one of them x = 0, and the kernel adds
+    # groups left to right, as np.sum adds an axis shorter than 8: they must
+    # come out bit-identical on both rules.  Rows that list all m ratios were
+    # summed pairwise by np.sum once m >= 8 and move by rounding: within 4e-15
+    # up to m = 20, and by up to 1.2e-13 at m = 200, where a left-to-right sum
+    # of 200 logarithms rounds about ten times more than a pairwise one
+    rng = np.random.default_rng(1102)
+    grouped = flat = 0
+    for _ in range(40):
+        m = int(rng.choice([2, 3, 5, 10, 20, 50, 200]))
+        k = int(rng.integers(1, m + 1))
+        rho = float(10.0 ** rng.uniform(-3.0, math.log10(30.0)))
+        c = m**-0.5 * (1.0 + 10.0 ** rng.uniform(-8.0, 1.2))
+        kappa = m * c * c / (m - 1)
+        tau = (kappa + 1.0) / (m * kappa)
+        m0 = rng.integers(0, k, size=60)
+        m1 = rng.integers(0, m - m0 + 1)
+        gamma = 10.0 ** rng.uniform(-6.0, 4.0, size=60) / min(rho, 1.0)
+        gamma[:3] = (0.0, 1.0 / rho, 1e4 * max(1.0, 1.0 / rho))
+        keep = (m1 > 0) | ((gamma > 0) & (m1 + m0 < m))
+        values, counts = _boundary_rows(m, rho, m1[keep], m0[keep], gamma[keep])
+        x = kappa * values * values
+        t = _roots_batch(x, counts, tau, m)
+        for rule in (_PROBE_SETTINGS, DEFAULT_SETTINGS):
+            new = _tail_quadrature(x, counts, t, tau, m, rule)
+            assert np.array_equal(new, _axis_sum_tail_quadrature(x, counts, t, tau, m, rule))
+        grouped += x.shape[0]
+        if m < 8:
+            continue
+        listed = np.array([rng.permutation(np.repeat(v, n.astype(int)))
+                           for v, n in zip(x[:8], counts[:8])])
+        ones = np.ones_like(listed)
+        t = _roots_batch(listed, ones, tau, m)
+        for rule in (_PROBE_SETTINGS, DEFAULT_SETTINGS):
+            new = _tail_quadrature(listed, ones, t, tau, m, rule)
+            old = _axis_sum_tail_quadrature(listed, ones, t, tau, m, rule)
+            assert np.max(np.abs(new - old)) <= (4e-15 if m <= 20 else 2e-13)
+        flat += listed.shape[0]
+    assert grouped >= 2000 and flat >= 100

@@ -198,9 +198,7 @@ def test_p_max_monotone_in_rho_k_and_c():
 @given(
     m=st.integers(2, 8),
     k_frac=st.floats(0.0, 1.0),
-    # below about rho = 3e-73 the ratio 1/rho overflows the root solve and
-    # p_max raises NumericalFailureError, a defect of its own
-    rho=st.one_of(st.just(0.0), st.floats(1e-6, 3.0)),
+    rho=st.floats(0.0, 3.0),  # subnormals included
     c_scale=st.floats(1.01, 8.0),
     step=st.floats(1.01, 1.5),
 )
@@ -218,6 +216,18 @@ def test_p_max_is_monotone(m, k_frac, rho, c_scale, step):
     assert p(rho=rho * step + 0.01) >= here - 1e-9
     if k < m:
         assert p(k=k + 1) >= here - 1e-9
+
+
+@pytest.mark.parametrize("rho", [1e-75, 1e-160, 1e-200])
+def test_p_max_at_tiny_rho_is_the_zero_treated_limit(rho):
+    # at 1e-75 the kernel still runs on boundary ratios near 1e79; below
+    # about 1e-150 they would overflow, and p_max is its rho -> 0+ limit
+    spec = HeterogeneitySpec(m=3, k=1, rho=rho)
+    res = p_max(3, 2.0, spec)
+    assert abs(res.value - p_zero_treated(3, 2.0)) <= 1e-12
+    # the certified inversions read the same value branch by branch
+    traces = {(tr.m1, tr.m0): tr.value for tr in res.diagnostics.branches}
+    assert _branch_value(3, 2.0, spec, (3, 0)) == traces.get((3, 0), res.value)
 
 
 def test_branch_value_equals_each_p_max_trace():
