@@ -21,7 +21,7 @@ Layered API, lowest to highest:
   * simulate — seeded Monte Carlo size/power verification.
   * cli — the ``stc`` command-line tool.
 """
-from .charpoly import GammaConfig, NegativeRoot, g_value, negative_root
+from .charpoly import GammaConfig, NegativeRoot, negative_root
 from .critical_values import (
     CriticalValueResult,
     Table,
@@ -92,7 +92,6 @@ __all__ = [
     # rejection probability stack
     "GammaConfig",
     "NegativeRoot",
-    "g_value",
     "negative_root",
     "QuadratureSettings",
     "DEFAULT_SETTINGS",

@@ -31,12 +31,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BracketSignError, InvalidParameterError
+from .errors import BracketSignError, InvalidParameterError, NumericalFailureError
 
 __all__ = [
     "GammaConfig",
     "NegativeRoot",
-    "g_value",
     "negative_root",
     "theta_lower_bound",
 ]
@@ -113,34 +112,14 @@ class NegativeRoot:
     residual: float
 
 
-def g_value(cfg: GammaConfig, theta: float) -> float:
-    """Evaluate g_c(theta) in the product/sum form.
-
-    The leave-one-out products prod_{j != i}(x_j - theta) are obtained by
-    dividing the full product by (x_i - theta) whenever every factor is
-    safely away from zero/overflow, and by direct re-multiplication
-    otherwise.
-    """
-    x = cfg.x
-    m = cfg.m
-    th = float(theta)
-    factors = x - th
-    full = float(np.prod(factors))
-    if math.isfinite(full) and np.all(np.abs(factors) > 1e-150):
-        loo = full / factors
-    else:
-        loo = np.empty(m)
-        for i in range(m):
-            loo[i] = np.prod(np.delete(factors, i))
-    s = float(np.sum(cfg.gammas**2 * loo))
-    return -(m + th) * full + (cfg.kappa + (cfg.kappa + 1.0) / m * th) * s
-
-
 def _root_bracket(x: np.ndarray, n: np.ndarray, tau: float, m: int) -> tuple[np.ndarray, ...]:
     """Certified bracket [m, m + max gamma^2 + eps] for each row of x.
 
     max gamma^2 = max x / kappa over groups with n_j > 0; kappa = 1/(m*tau - 1).
+    NumericalFailureError where m*tau rounds to 1 (c above about 1e8 at m = 4).
     """
+    if m * tau - 1.0 <= 0.0:
+        raise NumericalFailureError(f"threshold too large: m*tau - 1 rounds to 0 at m={m}")
     kappa = 1.0 / (m * tau - 1.0)
     top = np.max(np.where(n > 0, x, 0.0), axis=1) / kappa
     return np.full(x.shape[0], float(m)), float(m) + top + 1e-8 * (1.0 + top)

@@ -266,12 +266,18 @@ def _render(record, fmt: str, grid: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _alpha_grid_csv(records: list[dict], ms: list[int]) -> str:
-    """max-alpha's pivot: one row per rho, one percent column per m."""
+def _pivot(records: list[dict], ms: list[int], blocks: int, field: str, fmt: str) -> str:
+    """A grid's CSV and text: a row per rho, a ``field`` column per m (ERROR
+    where a failed cell has none), each of several blocks headed by its alpha."""
     rows = [records[i:i + len(ms)] for i in range(0, len(records), len(ms))]
-    lines = ["rho," + ",".join(str(m) for m in ms)]
-    lines += [",".join([f"{row[0]['rho']:g}"] + [f"{rec['percent']:.2f}" for rec in row])
-              for row in rows]
+    lines = []
+    for i, row in enumerate(rows):
+        if i % (len(rows) // blocks) == 0:
+            if blocks > 1:
+                lines.append(f"# alpha={row[0]['alpha']:g}")
+            lines.append("rho," + ",".join(str(m) for m in ms))
+        lines.append(",".join([f"{row[0]['rho']:g}"] + [
+            format(rec[field], fmt) if field in rec else "ERROR" for rec in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -342,18 +348,23 @@ def _workers(args) -> int:
     return max(1, workers)
 
 
-def _estimates_from_args(args):
+def _panel(args):
+    """A panel command's record head, estimates, spec (None without --rho) and
+    sidedness; the head is design, treated and m, then whichever of alpha, k,
+    rho and sided the subcommand takes."""
     cols = read_panel_csv(args.data)
     panel = PanelData(cluster=cols["cluster"], outcome=cols["outcome"],
                       treated_cluster=args.treated, time=cols["time"],
                       post_start=args.post_start, unit=cols["unit"], c_indicator=cols["c"])
     extraction = extract(panel, _DESIGNS[args.design])
-    return extraction, extraction.estimates
-
-
-def _sided_from_args(args) -> Sided:
-    one_sided = getattr(args, "one_sided", None)
-    return _SIDED[one_sided] if one_sided else Sided.TWO_SIDED
+    est = extraction.estimates
+    head = {"design": args.design, "treated": extraction.treated_cluster, "m": est.m}
+    head.update((name, getattr(args, name)) for name in ("alpha", "k", "rho") if name in args)
+    sided = _SIDED.get(getattr(args, "one_sided", None), Sided.TWO_SIDED)
+    if "one_sided" in args:
+        head["sided"] = sided.value
+    spec = HeterogeneitySpec(m=est.m, k=args.k, rho=args.rho) if "rho" in args else None
+    return head, est, spec, sided
 
 
 # ---------------------------------------------------------------------------
@@ -379,32 +390,22 @@ def _cmd_max_alpha(args) -> tuple[list[dict], str]:
             alpha = alpha_underline(m, rho)
             records.append({"m": m, "rho": rho, "alpha_underline": _f6(alpha),
                             "percent": round(100.0 * alpha, 2)})
-    return records, _alpha_grid_csv(records, args.ms)
+    return records, _pivot(records, args.ms, 1, "percent", ".2f")
 
 
 def _cmd_pvalue(args) -> dict:
-    extraction, est = _estimates_from_args(args)
-    spec = HeterogeneitySpec(m=est.m, k=args.k, rho=args.rho)
-    sided = _sided_from_args(args)
+    head, est, spec, sided = _panel(args)
     p = p_value(est, spec, sided)
     t, effect, s = t_statistic(est)
-    return {
-        "design": args.design, "treated": extraction.treated_cluster, "m": est.m,
-        "k": args.k, "rho": args.rho, "sided": sided.value,
-        "delta_hat": _f6(effect), "t_stat": _f6(t), "p_value": _f6(p),
-    }
+    return {**head, "delta_hat": _f6(effect), "t_stat": _f6(t), "p_value": _f6(p)}
 
 
 def _cmd_test(args) -> dict:
-    extraction, est = _estimates_from_args(args)
-    spec = HeterogeneitySpec(m=est.m, k=args.k, rho=args.rho)
-    sided = _sided_from_args(args)
+    head, est, spec, sided = _panel(args)
     report = run_test(est, spec, args.alpha, sided)
     worst = report.cv.worst_case
     return {
-        "design": args.design, "treated": extraction.treated_cluster, "m": est.m,
-        "alpha": args.alpha, "k": args.k, "rho": args.rho, "sided": sided.value,
-        "delta_hat": _f6(report.effect), "t_stat": _f6(report.t_stat),
+        **head, "delta_hat": _f6(report.effect), "t_stat": _f6(report.t_stat),
         "control_sd": _f6(report.control_sd),
         "cv": _f6(report.cv.cv), "method": report.cv.method,
         "p_value": _f6(report.p_value), "ci": [_f6(report.ci[0]), _f6(report.ci[1])],
@@ -415,19 +416,14 @@ def _cmd_test(args) -> dict:
 
 
 def _cmd_ci(args) -> dict:
-    extraction, est = _estimates_from_args(args)
-    spec = HeterogeneitySpec(m=est.m, k=args.k, rho=args.rho)
+    head, est, spec, _ = _panel(args)
     lo, hi = confidence_interval(est, spec, args.alpha)
     _, effect, _ = t_statistic(est)
-    return {
-        "design": args.design, "treated": extraction.treated_cluster, "m": est.m,
-        "alpha": args.alpha, "k": args.k, "rho": args.rho,
-        "delta_hat": _f6(effect), "ci": [_f6(lo), _f6(hi)],
-    }
+    return {**head, "delta_hat": _f6(effect), "ci": [_f6(lo), _f6(hi)]}
 
 
 def _cmd_rho_frontier(args) -> dict:
-    extraction, est = _estimates_from_args(args)
+    head, est, _, _ = _panel(args)
     t, _, _ = t_statistic(est)
     # a bound of 0 means nothing rejects (null); inf means everything does
     frontier = [
@@ -435,13 +431,13 @@ def _cmd_rho_frontier(args) -> dict:
         for alpha in args.alpha_list
         for k, bound in enumerate(rho_frontier(est, alpha).bounds, start=1)
     ]
-    return {"design": args.design, "treated": extraction.treated_cluster,
-            "m": est.m, "t_stat": _f6(t), "frontier": frontier}
+    return {**head, "t_stat": _f6(t), "frontier": frontier}
 
 
 def _cmd_table(args) -> tuple[list[dict], str]:
-    table = generate_table(args.alphas, args.ms, args.rhos, args.k, workers=_workers(args))
-    return table.records(), table.to_csv()
+    records = generate_table(args.alphas, args.ms, args.rhos, args.k,
+                             workers=_workers(args)).records()
+    return records, _pivot(records, args.ms, len(args.alphas), "cv", ".3f")
 
 
 def _cmd_simulate(args) -> dict:

@@ -21,12 +21,11 @@ certifies the bracket with two p_max calls, so a critical value makes 2
 complete p_max calls (with the reported one) instead of about 11.
 
 `generate_table` evaluates grids of critical values with per-cell error
-capture and CSV/JSON export (3 decimals, half-away-from-zero).
+capture; `Table.records` rounds each cv to 3 decimals, half away from zero.
 """
 from __future__ import annotations
 
 import functools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -296,7 +295,7 @@ class TableCell:
 
 @dataclass(frozen=True)
 class Table:
-    """Critical-value grid with stable CSV/JSON export."""
+    """Critical-value grid: its cells, and `records` for rendering them."""
 
     k: int
     alphas: tuple[float, ...]
@@ -310,22 +309,6 @@ class Table:
                 return cell
         raise KeyError((alpha, m, rho))
 
-    def to_csv(self) -> str:
-        """Rows are rho values, one column per m; one block per alpha."""
-        by_key = {(c.alpha, c.m, c.rho): c for c in self.cells}
-        lines: list[str] = []
-        for alpha in self.alphas:
-            if len(self.alphas) > 1:
-                lines.append(f"# alpha={alpha:g}")
-            lines.append("rho," + ",".join(str(m) for m in self.ms))
-            for rho in self.rhos:
-                row = [f"{rho:g}"]
-                for m in self.ms:
-                    cell = by_key[(alpha, m, rho)]
-                    row.append(round3(cell.cv) if cell.cv is not None else "ERROR")
-                lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
     def records(self) -> list[dict]:
         """One dict per cell with a 3-decimal cv; stable field order."""
         records = []
@@ -338,10 +321,6 @@ class Table:
                 rec["error"] = cell.error
             records.append(rec)
         return records
-
-    def to_json(self) -> str:
-        """`records` as indented JSON."""
-        return json.dumps(self.records(), indent=2)
 
 
 def _table_cell(args: tuple) -> TableCell:

@@ -19,7 +19,6 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "t_two_sided_tail",
-    "t_cdf",
     "t_quantile",
     "normal_cdf",
     "normal_quantile",
@@ -66,14 +65,6 @@ def t_two_sided_tail(dof, threshold) -> float | np.ndarray:
         normal_tail = 2.0 * special.ndtr(-c)
         tail = np.where(v > _MAX_DOF, normal_tail, tail)
     return _as_float(tail, (dof, threshold))
-
-
-def t_cdf(dof, x) -> float | np.ndarray:
-    """CDF of the Student-t distribution with ``dof`` degrees of freedom."""
-    v = _checked_dof(dof)
-    xa = np.asarray(x, dtype=np.float64)
-    out = np.where(v > _MAX_DOF, special.ndtr(xa), special.stdtr(np.minimum(v, _MAX_DOF), xa))
-    return _as_float(out, (dof, x))
 
 
 def t_quantile(dof, p) -> float | np.ndarray:

@@ -157,9 +157,12 @@ def _p_zero_treated_detail(m: int, c: float) -> tuple[float, int]:
         return 1.0, 1
     if boundary <= 1.0 + 1e-12:
         return 0.5, 2
+    if not math.isfinite(m * m * c * c):  # every tail is below 1e-150
+        return 0.0, m
     r = m * m * c * c / (m * c * c + m - 1.0)
-    j = np.arange(math.floor(r) + 1, m + 1)
-    thresholds = np.sqrt((j - 1) * r / (j - r))
+    gap = m * (m - 1.0) / (m * c * c + m - 1.0)  # m - r, which rounds to 0 at large c
+    j = np.arange(m - math.ceil(gap) + 1, m + 1)  # the j > r
+    thresholds = np.sqrt((j - 1) * r / ((j - m) + gap))
     tails = np.atleast_1d(t_two_sided_tail(j - 1, thresholds))
     best = int(np.argmax(tails))
     return float(tails[best]), int(j[best])

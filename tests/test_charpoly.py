@@ -9,7 +9,6 @@ from stc.charpoly import (
     GammaConfig,
     _root_bracket,
     _roots_batch,
-    g_value,
     negative_root,
     theta_lower_bound,
 )
@@ -18,6 +17,29 @@ from stc.rejection import DEFAULT_SETTINGS, _tail_quadrature
 from stc.worstcase import _boundary_rows
 
 RNG_SWEEP = 1000
+
+
+def g_value(cfg: GammaConfig, theta: float) -> float:
+    """g_c(theta) in the product/sum form, the oracle for the root solve.
+
+    The leave-one-out products prod_{j != i}(x_j - theta) are obtained by
+    dividing the full product by (x_i - theta) whenever every factor is
+    safely away from zero/overflow, and by direct re-multiplication
+    otherwise.
+    """
+    x = cfg.x
+    m = cfg.m
+    th = float(theta)
+    factors = x - th
+    full = float(np.prod(factors))
+    if math.isfinite(full) and np.all(np.abs(factors) > 1e-150):
+        loo = full / factors
+    else:
+        loo = np.empty(m)
+        for i in range(m):
+            loo[i] = np.prod(np.delete(factors, i))
+    s = float(np.sum(cfg.gammas**2 * loo))
+    return -(m + th) * full + (cfg.kappa + (cfg.kappa + 1.0) / m * th) * s
 
 
 def _random_config(rng):

@@ -450,6 +450,16 @@ def test_infeasibility_exit_code(capsys, monkeypatch):
     assert "unattainable" in err
 
 
+def test_huge_t_statistic_is_a_numerical_failure(capsys, tmp_path):
+    # t is about 1e10, a threshold past what the tail kernel resolves
+    path = tmp_path / "far.csv"
+    path.write_text("cluster,outcome\na,0\nb,1e-9\nc,-1e-9\nd,2e-9\nt,10\n")
+    code, out, err = _run(capsys, ["pvalue", "--data", str(path), "--design", "mean",
+                                   "--treated", "t", "--rho", "1"])
+    assert code == 3
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 # the documented contract: 2 parameter, 3 infeasibility, 4 data or file
 _EXIT_CODES = {
     "StcError": 3,

@@ -5,6 +5,7 @@ import types
 
 import pytest
 
+from stc.cli import main
 from stc.critical_values import (
     _MAX_DOUBLINGS,
     Table,
@@ -324,16 +325,23 @@ def test_rounding_convention():
 # ----------------------------------------------------------------- table
 
 
-def test_generate_table_formats():
+def _table_output(capsys, argv, fmt):
+    """`stc table` run on argv, printed as ``fmt``."""
+    assert main(["table", *argv, "--output", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_generate_table_formats(capsys):
     table = generate_table([0.05], [5, 10], [1.0, 2.0], k=1)
     assert isinstance(table, Table)
-    csv_text = table.to_csv()
+    argv = ["--alphas", "0.05", "--ms", "5,10", "--rhos", "1,2", "--k", "1"]
+    csv_text = _table_output(capsys, argv, "csv")
     lines = csv_text.strip().split("\n")
     assert lines[0] == "rho,5,10"
     assert lines[1].startswith("1,") and lines[2].startswith("2,")
     cells = lines[1].split(",")
     assert cells[1] == "3.041"  # closed-form anchor
-    records = json.loads(table.to_json())
+    records = json.loads(_table_output(capsys, argv, "json"))
     assert len(records) == 4
     rec = next(r for r in records if r["m"] == 5 and r["rho"] == 1.0)
     assert rec == {
@@ -346,13 +354,12 @@ def test_generate_table_formats():
     }
 
 
-def test_generate_table_multi_alpha_blocks():
-    table = generate_table([0.01, 0.05], [5], [1.0], k=1)
-    text = table.to_csv()
+def test_generate_table_multi_alpha_blocks(capsys):
+    text = _table_output(capsys, ["--alphas", "0.01,0.05", "--ms", "5", "--rhos", "1"], "csv")
     assert "# alpha=0.01" in text and "# alpha=0.05" in text
 
 
-def test_table_cell_error_capture(monkeypatch):
+def test_table_cell_error_capture(monkeypatch, capsys):
     import stc.critical_values as cv_mod
 
     def boom(*args, **kwargs):
@@ -363,8 +370,10 @@ def test_table_cell_error_capture(monkeypatch):
     cell = table.cell(0.05, 5, 1.0)
     assert cell.cv is None
     assert "synthetic failure" in cell.error
-    assert "ERROR" in table.to_csv()
-    assert json.loads(table.to_json())[0]["error"].startswith("NoValidCriticalValueError")
+    argv = ["--alphas", "0.05", "--ms", "5", "--rhos", "1", "--k", "1"]
+    assert "ERROR" in _table_output(capsys, argv, "csv")
+    records = json.loads(_table_output(capsys, argv, "json"))
+    assert records[0]["error"].startswith("NoValidCriticalValueError")
 
 
 def test_table_lets_programming_errors_through(monkeypatch):

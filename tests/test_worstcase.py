@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from stc.charpoly import GammaConfig
 from stc.critical_values import _closed_form_k1
 from stc.distributions import t_quantile, t_two_sided_tail
-from stc.errors import InvalidParameterError
+from stc.errors import InvalidParameterError, NumericalFailureError
 from stc.rejection import DEFAULT_SETTINGS, _tails_for_gamma_rows, rejection_probability
 from stc.simulate import empirical_rejection_rate
 from stc.worstcase import (
@@ -52,6 +52,22 @@ def test_zero_treated_regimes():
         for j in range(math.floor(r) + 1, m + 1)
     }
     assert val == pytest.approx(max(terms.values()), abs=1e-12)
+
+
+def test_zero_treated_at_huge_thresholds():
+    # r rounds to m from about c = 1e8 (m = 4) and c^2 overflows at 1e200;
+    # m - r is formed without cancellation, so the j = m tail is kept, and
+    # its threshold sqrt((m-1) r / (m - r)) is exactly sqrt(m) c
+    values = [p_zero_treated(4, c) for c in (7e7, 1e8, 1e12, 1e200)]
+    assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values)
+    assert values == sorted(values, reverse=True)
+    assert values[1] == pytest.approx(t_two_sided_tail(3, 2e8), rel=1e-12)
+
+
+def test_p_max_past_the_root_bracket_is_a_numerical_failure():
+    # 1/kappa = m*tau - 1 rounds to 0 above about c = 1.26e8 at m = 4
+    with pytest.raises(NumericalFailureError):
+        p_max(4, 1e12, HeterogeneitySpec(m=4, k=1, rho=1.0))
 
 
 def test_zero_treated_monte_carlo_per_branch():
