@@ -337,6 +337,16 @@ def _parse_ints(token: str) -> list[int]:
     return out
 
 
+def _arg_type(parse):
+    """``parse`` as argparse ``type=``; argparse would hide a ValueError's message."""
+    def convert(token: str):
+        try:
+            return parse(token)
+        except InvalidParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _workers(args) -> int:
     workers = getattr(args, "workers", 1)
     cap = os.environ.get("STC_THREADS")
@@ -502,8 +512,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cv.set_defaults(handler=_cmd_cv)
 
     ma = subs.add_parser("max-alpha", help="largest level with a valid closed form")
-    ma.add_argument("--ms", type=_parse_ints, required=True)
-    ma.add_argument("--rhos", type=_parse_floats, required=True)
+    ma.add_argument("--ms", type=_arg_type(_parse_ints), required=True)
+    ma.add_argument("--rhos", type=_arg_type(_parse_floats), required=True)
     _add_output_flags(ma)
     ma.set_defaults(handler=_cmd_max_alpha)
 
@@ -529,15 +539,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rf = subs.add_parser("rho-frontier", help="breakdown heterogeneity by k")
     _add_data_flags(rf)
-    rf.add_argument("--alpha-list", type=_parse_floats, default=[0.05])
+    rf.add_argument("--alpha-list", type=_arg_type(_parse_floats), default=[0.05])
     _add_output_flags(rf)
     rf.set_defaults(handler=_cmd_rho_frontier)
 
     table = subs.add_parser("table", help="critical-value grid")
     table.add_argument("--k", type=int, default=1)
-    table.add_argument("--alphas", type=_parse_floats, required=True)
-    table.add_argument("--ms", type=_parse_ints, required=True)
-    table.add_argument("--rhos", type=_parse_floats, required=True)
+    table.add_argument("--alphas", type=_arg_type(_parse_floats), required=True)
+    table.add_argument("--ms", type=_arg_type(_parse_ints), required=True)
+    table.add_argument("--rhos", type=_arg_type(_parse_floats), required=True)
     table.add_argument("--workers", type=int, default=1)
     _add_output_flags(table)
     table.set_defaults(handler=_cmd_table)

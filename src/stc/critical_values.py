@@ -256,7 +256,7 @@ def critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalVal
             hi = 2.0 * (guess + _closed_form_k1(m, alpha, max(rho, 0.0)) + 1.0)
             found = _certified_first_true(
                 p_at, lambda c, branch: _branch_value(m, c, spec, branch),
-                (m - k + 1, k - 1) if rho > 0 else None, alpha, False,
+                (m - k + 1, k - 1), alpha, False,
                 cv, hi, abs_tol=_CV_WIDTH, rel_tol=0.99e-4)
             if found is None:
                 floor = p_max(m, math.ldexp(hi, _MAX_DOUBLINGS), spec).value

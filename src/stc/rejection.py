@@ -45,7 +45,9 @@ from .errors import InvalidParameterError, NumericalFailureError
 
 __all__ = ["QuadratureSettings", "rejection_probability"]
 
-# Chunk budget for the (batch, nodes, groups) work arrays, in elements.
+# Kernel chunks hold at most this many rows x nodes x groups.  The work
+# arrays are (rows, nodes), built once per group in turn, so each holds at
+# most this / groups elements (32 MB / groups of float64).
 _CHUNK_ELEMENTS = 4_000_000
 
 

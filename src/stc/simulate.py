@@ -330,6 +330,14 @@ def _design_t_statistics(design, reps: int, seed: int) -> np.ndarray:
     raise InvalidParameterError(f"unknown design: {design!r}")
 
 
+def _mc_result(t: np.ndarray, c: float, **extra) -> MCResult:
+    """The share of |t| > c over the replications t, with its binomial SE."""
+    rejections = int(np.count_nonzero(np.abs(t) > c))
+    rate = rejections / t.size
+    return MCResult(rejection_rate=rate, se=math.sqrt(rate * (1.0 - rate) / t.size),
+                    reps=t.size, rejections=rejections, **extra)
+
+
 def run(
     config: MCConfig,
     include_stats: bool = False,
@@ -344,16 +352,7 @@ def run(
     spec = HeterogeneitySpec(config.design.m, config.k, config.test_rho)
     cv = critical_value(config.design.m, config.alpha, spec)
     t = _design_t_statistics(config.design, config.reps, config.seed)
-    rejections = int(np.count_nonzero(np.abs(t) > cv.cv))
-    rate = rejections / config.reps
-    return MCResult(
-        rejection_rate=rate,
-        se=math.sqrt(rate * (1.0 - rate) / config.reps),
-        reps=config.reps,
-        rejections=rejections,
-        critical_value=cv,
-        t_stats=t if include_stats else None,
-    )
+    return _mc_result(t, cv.cv, critical_value=cv, t_stats=t if include_stats else None)
 
 
 def empirical_rejection_rate(
@@ -368,12 +367,4 @@ def empirical_rejection_rate(
     reps, seed = as_integer("reps", reps), as_integer("seed", seed)
     if reps < 1:
         raise InvalidParameterError(f"reps must be >= 1, got {reps}")
-    t = normal_means_t_statistics(sigmas, delta, reps, seed)
-    rejections = int(np.count_nonzero(np.abs(t) > float(c)))
-    rate = rejections / reps
-    return MCResult(
-        rejection_rate=rate,
-        se=math.sqrt(rate * (1.0 - rate) / reps),
-        reps=reps,
-        rejections=rejections,
-    )
+    return _mc_result(normal_means_t_statistics(sigmas, delta, reps, seed), float(c))

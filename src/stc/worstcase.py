@@ -21,10 +21,11 @@ both facts against a dense sweep).  Boundary rows reach the tail kernel as
 three (value, count) groups (`_boundary_rows`), so a kernel evaluation
 costs the same at every m.  One optimizer, `_optimize_gamma_branches`, runs
 that search for a group of branches in lock-step, so that each Brent step
-costs one vectorized tail evaluation for the whole group; `p_max` calls it
-on growing groups and `p_tilde` on a single branch.  The tail kernel's
-values do not depend on the batch a row is evaluated in, so a branch's
-trace is the same either way.
+costs one vectorized tail evaluation for the whole group.  One producer,
+`_branch_traces`, hands it the free branches of `p_max` (growing groups),
+`p_tilde` and the inversions' `_branch_value` (one branch each).  The tail
+kernel's values do not depend on the batch a row is evaluated in, so a
+branch's trace is the same either way.
 """
 from __future__ import annotations
 
@@ -147,16 +148,17 @@ def _validate_mc(m: int, c: float) -> tuple[int, float]:
     return int(m), c
 
 
+def _worthless(m: int, c: float) -> bool:
+    """c <= m^{-1/2}, with a small relative fuzz so that the nearest float to
+    m^{-1/2} counts: every test at such a threshold rejects with probability 1."""
+    return c * c * m <= 1.0 + 1e-12
+
+
 def _p_zero_treated_detail(m: int, c: float) -> tuple[float, int]:
     """Worst case with sigma_{m+1} = 0: value and the attaining j."""
     m, c = _validate_mc(m, c)
-    # the boundary c = m^{-1/2} is detected with a small relative fuzz so
-    # that the nearest representable float still lands on the 0.5 case
-    boundary = c * c * m
-    if boundary < 1.0 - 1e-12:
+    if _worthless(m, c):
         return 1.0, 1
-    if boundary <= 1.0 + 1e-12:
-        return 0.5, 2
     if not math.isfinite(m * m * c * c):  # every tail is below 1e-150
         return 0.0, m
     r = m * m * c * c / (m * c * c + m - 1.0)
@@ -171,8 +173,8 @@ def _p_zero_treated_detail(m: int, c: float) -> tuple[float, int]:
 def p_zero_treated(m: int, c: float) -> float:
     """Worst-case rejection probability when the treated variance is zero.
 
-    Equals 1 for c < m^{-1/2}, exactly 0.5 at c = m^{-1/2}, and a finite
-    maximum of t tails over the active-control count j otherwise.
+    Equals 1 for c <= m^{-1/2} (as `p_max` does there) and a finite maximum
+    of t tails over the active-control count j otherwise.
     """
     return _p_zero_treated_detail(m, c)[0]
 
@@ -197,6 +199,8 @@ def _boundary_rows(m: int, rho: float, m1, m0, gamma) -> tuple[np.ndarray, np.nd
 def _check_branch(m: int, rho: float, m1: int, m0: int) -> None:
     if not (0 <= m0 and 0 <= m1 and m0 + m1 <= m):
         raise InvalidParameterError(f"invalid branch counts m1={m1}, m0={m0} for m={m}")
+    if m1 == 0 and m0 == m:
+        raise InvalidParameterError("all-zero ratio configuration (m1=0, m0=m)")
     if not (math.isfinite(rho) and rho > 0):
         raise InvalidParameterError(f"rho must be finite and > 0, got {rho!r}")
 
@@ -227,21 +231,16 @@ def p_bar(
         if gamma == 0.0 and m1 == 0:
             raise InvalidParameterError("all-zero ratio configuration (m1=0, gamma=0)")
     else:
-        if m1 == 0:
-            raise InvalidParameterError("all-zero ratio configuration (m1=0, m0=m)")
         gamma = 0.0  # no remaining columns exist; value unused
     values, counts = _boundary_rows(m, rho, m1, m0, gamma)
     return float(_tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)[0])
 
 
-def _gamma_candidates(rho: float, rho_lower: float, m1: int) -> np.ndarray:
+def _gamma_candidates(rho: float, rho_lower: float) -> np.ndarray:
     """Log grid over the free-ratio domain, 4 points a decade, ends included."""
     lower, gamma_max = max(rho_lower, 1e-6), 1e4 * max(1.0, 1.0 / rho)
     n = math.ceil(_GRID_POINTS_PER_DECADE * math.log10(gamma_max / lower) - 1e-9) + 1
-    candidates = np.unique(np.concatenate([[rho_lower], np.geomspace(lower, gamma_max, n)]))
-    if candidates[0] == 0.0 and m1 == 0:
-        candidates = candidates[1:]  # gamma = 0 with no rho^{-1} entries is degenerate
-    return candidates
+    return np.unique(np.concatenate([[rho_lower], np.geomspace(lower, gamma_max, n)]))
 
 
 def p_tilde(
@@ -264,11 +263,31 @@ def p_tilde(
     _check_branch(m, rho, m1, m0)
     if not 1 <= k <= m:
         raise InvalidParameterError(f"k must lie in 1..{m}, got {k}")
-    if m1 + m0 == m:
-        return p_bar(m, c, rho, None, m1, m0)
-    rho_lower = 0.0 if m1 >= m - k + 1 else 1.0 / rho
-    traces, _ = _optimize_gamma_branches(m, c, rho, [(m1, m0, rho_lower)], None)
-    return traces[0].value
+    return _branch_traces(m, c, k, rho, [(m1, m0)])[0].value
+
+
+def _branch_traces(m: int, c: float, k: int, rho: float, pairs: list[tuple[int, int]],
+                   stop_above: float | None = None) -> list[BranchTrace]:
+    """Traces of the (m1, m0) branches, the fixed ones (m1 + m0 = m) first.
+
+    The one producer of branch values for `p_max`, `p_tilde` and
+    `_branch_value`, so a branch's value is the same whichever asks.  A fixed
+    branch is one default-rule row; the free ones go to one
+    `_optimize_gamma_branches` search, which may exit early (one trace above
+    ``stop_above``).
+    """
+    branches = [(m1, m0, 0.0 if m1 >= m - k + 1 else 1.0 / rho) for m1, m0 in pairs]
+    fixed = [br for br in branches if br[0] + br[1] == m]
+    free = [br for br in branches if br[0] + br[1] < m]
+    traces = []
+    if fixed:
+        m1s, m0s, _ = zip(*fixed)
+        values, counts = _boundary_rows(m, rho, m1s, m0s, 0.0)
+        vals = _tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)
+        traces = [BranchTrace(*br, None, float(v), 1) for br, v in zip(fixed, vals)]
+    if free:
+        traces += _optimize_gamma_branches(m, c, rho, free, stop_above)
+    return traces
 
 
 def _zero_treated_only(m: int, c: float, rho: float) -> bool:
@@ -282,12 +301,14 @@ def _zero_treated_only(m: int, c: float, rho: float) -> bool:
 def _branch_value(m: int, c: float, spec: HeterogeneitySpec, branch) -> float:
     """Branch (m1, m0), or the zero-treated one (None), == to its `p_max` trace.
 
-    As in `p_max`: 1 at c <= m^{-1/2}; the zero-treated one if `_zero_treated_only`."""
-    if c * c * m <= 1.0 + 1e-12:
+    As in `p_max`: 1 at c <= m^{-1/2}, tested before c is validated because
+    `rho_frontier` asks at c = |t| = 0; the zero-treated one if
+    `_zero_treated_only`."""
+    if _worthless(m, c):
         return 1.0
     if branch is None or _zero_treated_only(m, c, spec.rho):
-        return _p_zero_treated_detail(m, c)[0]
-    return p_tilde(m, c, spec.k, spec.rho, *branch)
+        return p_zero_treated(m, c)
+    return _branch_traces(m, c, spec.k, spec.rho, [branch])[0].value
 
 
 def _branch_order(m: int, k: int) -> list[tuple[int, int]]:
@@ -369,7 +390,7 @@ def _optimize_gamma_branches(
     rho: float,
     branches: list[tuple[int, int, float]],
     stop_above: float | None,
-) -> tuple[list[BranchTrace], BranchTrace | None]:
+) -> list[BranchTrace]:
     """Maximize p_bar over gamma for several (m1, m0) branches in lock-step.
 
     Each branch evaluates its grid (`_gamma_candidates`) on the probe rule,
@@ -378,9 +399,8 @@ def _optimize_gamma_branches(
     default rule and reports the best.  Every step evaluates one probe per
     unfinished search in a single kernel call; a search's probes depend only
     on its own values, so a branch's trace is the same in any group.
-    Returns (traces, early): either every branch finished (`early` is None)
-    or the grid phase already certified a value above ``stop_above`` and
-    `early` carries that single confirmed trace (traces is then empty).
+    Returns one trace per branch, or, when the grid phase already certified
+    a value above ``stop_above``, that single confirmed trace.
     """
     n = len(branches)
     m1s, m0s, _ = (np.array(col) for col in zip(*branches))
@@ -389,9 +409,8 @@ def _optimize_gamma_branches(
         values, counts = _boundary_rows(m, rho, m1s[idx], m0s[idx], gammas)
         return _tails_for_gamma_rows(values, c, rule, counts=counts)
 
-    domains = {(rl, m1 == 0): (rl, m1) for m1, _, rl in branches}  # shared grids
-    grids = {key: _gamma_candidates(rho, *args) for key, args in domains.items()}
-    cand_sets = [grids[rl, m1 == 0] for m1, _, rl in branches]
+    grids = {rl: _gamma_candidates(rho, rl) for rl in {rl for *_, rl in branches}}  # shared
+    cand_sets = [grids[rl] for *_, rl in branches]
     n_evals = np.array([cs.size for cs in cand_sets])
     offsets = np.concatenate([[0], np.cumsum(n_evals)])
     gammas = np.concatenate(cand_sets)
@@ -404,8 +423,7 @@ def _optimize_gamma_branches(
             m1, m0, rl = branches[i]
             confirmed = float(tails(i, gammas[top], DEFAULT_SETTINGS)[0])
             if confirmed > stop_above:
-                early = BranchTrace(m1, m0, rl, float(gammas[top]), confirmed, int(n_evals[i]) + 1)
-                return [], early
+                return [BranchTrace(m1, m0, rl, float(gammas[top]), confirmed, int(n_evals[i]) + 1)]
 
     owners, searches = [], []  # one Brent search per peak of a branch's grid
     for i, cs in enumerate(cand_sets):
@@ -445,7 +463,7 @@ def _optimize_gamma_branches(
         s = mine[int(np.argmax(final_vals[mine]))]
         gamma, value = float(finals[s]), float(final_vals[s])
         traces.append(BranchTrace(m1, m0, rl, gamma, value, int(n_evals[i])))
-    return traces, None
+    return traces
 
 
 def p_max(
@@ -471,24 +489,12 @@ def p_max(
     if spec.m != m:
         raise InvalidParameterError(f"spec.m={spec.m} does not match m={m}")
     k, rho = spec.k, spec.rho
-
-    if c * c * m <= 1.0 + 1e-12:
-        return WorstCaseResult(
-            value=1.0,
-            achieving_config=ZeroTreated(j=1),
-            diagnostics=WorstCaseDiagnostics(True, 1.0, 1, ()),
-        )
-
     p0, j0 = _p_zero_treated_detail(m, c)
-    if _zero_treated_only(m, c, rho):
-        return WorstCaseResult(
-            value=p0,
-            achieving_config=ZeroTreated(j=j0),
-            diagnostics=WorstCaseDiagnostics(False, p0, j0, ()),
-        )
+    degenerate = _worthless(m, c)
+    if degenerate or _zero_treated_only(m, c, rho):
+        return WorstCaseResult(p0, ZeroTreated(j=j0), WorstCaseDiagnostics(degenerate, p0, j0, ()))
 
     order = _branch_order(m, k)
-    pending = [(m1, m0, 0.0 if m1 >= m - k + 1 else 1.0 / rho) for m1, m0 in order]
     trace_map: dict[tuple[int, int], BranchTrace] = {}
 
     def result(best: BranchTrace | None, complete: bool) -> WorstCaseResult:
@@ -499,37 +505,25 @@ def p_max(
             return WorstCaseResult(p0, ZeroTreated(j=j0), diagnostics)
         return WorstCaseResult(best.value, Boundary(best.m1, best.m0, best.gamma), diagnostics)
 
-    def batches():
-        # fixed configurations (no free ratio) are single evaluations; they
-        # also contain the usual maximizer, so they run first to seed early
-        # exits
-        fixed = [br for br in pending if br[0] + br[1] == m]
-        if fixed:
-            m1s, m0s, _ = zip(*fixed)
-            values, counts = _boundary_rows(m, rho, m1s, m0s, 0.0)
-            vals = _tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)
-            yield [
-                BranchTrace(m1, m0, rl, None, float(v), 1) for (m1, m0, rl), v in zip(fixed, vals)
-            ]
-        # free-ratio branches in ramped group sizes: a tiny first group keeps
-        # the certify-early path cheap, large later groups keep the batch
-        # kernel busy
-        free = [br for br in pending if br[0] + br[1] < m]
-        assert len(free) <= k * (2 * m + 1 - k) // 2
-        pos, size = 0, 1
-        while pos < len(free):
-            traces, early = _optimize_gamma_branches(m, c, rho, free[pos : pos + size], stop_above)
-            yield traces if early is None else [early]
-            pos, size = pos + size, min(4 * size, 48)
-
     if stop_above is not None and p0 > stop_above:
         return result(None, False)
+
+    # the fixed branches (one row each, the usual maximizer among them) seed
+    # early exits; then the free ones in ramped groups: a tiny first group
+    # keeps the certify-early path cheap, large later ones keep the kernel busy
+    groups = [[pair for pair in order if sum(pair) == m]]
+    free = [pair for pair in order if sum(pair) < m]
+    pos, size = 0, 1
+    while pos < len(free):
+        groups.append(free[pos : pos + size])
+        pos, size = pos + size, min(4 * size, 48)
+
     best: BranchTrace | None = None
-    for batch in batches():
-        for trace in batch:
+    for group in groups:
+        for trace in _branch_traces(m, c, k, rho, group, stop_above):
             trace_map[(trace.m1, trace.m0)] = trace
             if best is None or trace.value > best.value:
                 best = trace
-        if stop_above is not None and best is not None and best.value > stop_above:
+        if stop_above is not None and best.value > stop_above:
             return result(best, False)
-    return result(best if best is not None and best.value >= p0 else None, True)
+    return result(best if best.value >= p0 else None, True)

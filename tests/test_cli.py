@@ -730,6 +730,17 @@ def test_parse_floats_and_ints():
         _parse_floats("a,b")
 
 
+@pytest.mark.parametrize("token,message", [
+    ("4,x", "bad number list '4,x'; expected comma-separated numbers"),
+    ("4.5", "expected integers, got '4.5'"),
+])
+def test_number_list_errors_reach_the_user(capsys, token, message):
+    assert main(["max-alpha", "--ms", token, "--rhos", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"stc max-alpha: error: argument --ms: {message}\n")
+
+
 @pytest.mark.parametrize(
     "token,via_cli",
     [

@@ -359,6 +359,12 @@ def test_generate_table_multi_alpha_blocks(capsys):
     assert "# alpha=0.01" in text and "# alpha=0.05" in text
 
 
+def test_generate_table_process_pool_matches_serial():
+    serial = generate_table([0.05], [5, 6], [1.0], k=2)
+    pooled = generate_table([0.05], [5, 6], [1.0], k=2, workers=2)
+    assert pooled.cells == serial.cells
+
+
 def test_table_cell_error_capture(monkeypatch, capsys):
     import stc.critical_values as cv_mod
 

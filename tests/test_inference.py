@@ -175,6 +175,20 @@ def test_degenerate_report():
     assert less.p_value == 1.0
 
 
+def test_spec_for_another_m_is_rejected():
+    est = _est_with_t(2.0)
+    spec4 = HeterogeneitySpec(m=4, k=1, rho=1.0)
+    with pytest.raises(InvalidParameterError, match="does not match data m=5"):
+        p_value(est, spec4)
+    with pytest.raises(InvalidParameterError, match="does not match data m=5"):
+        run_test(est, spec4, alpha=0.05)
+
+
+def test_confidence_interval_with_zero_control_spread_is_a_point():
+    est = ClusterEstimates(np.array([1.0, 1.0, 1.0, 1.0, 1.0]), 3.0)
+    assert confidence_interval(est, SPEC51, alpha=0.05) == (2.0, 2.0)
+
+
 def test_one_sided_intervals():
     est = _est_with_t(3.5)
     greater = run_test(est, SPEC51, alpha=0.05, sided=Sided.ONE_SIDED_GREATER)

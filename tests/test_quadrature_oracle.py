@@ -73,7 +73,7 @@ def _sample_rows(seed: int, n: int):
         rho_lower = 0.0 if m1 >= m - k + 1 else 1.0 / rho
         gamma = 0.0
         if m1 + m0 < m:
-            candidates = _gamma_candidates(rho, rho_lower, m1)
+            candidates = _gamma_candidates(rho, rho_lower)
             pick = rng.uniform()
             gamma = float(
                 candidates[0] if pick < 0.15

@@ -41,7 +41,7 @@ def test_spec_validation():
 def test_zero_treated_regimes():
     # below the degeneracy threshold every configuration rejects surely
     assert p_zero_treated(4, 0.49) == 1.0
-    assert p_zero_treated(4, 0.5) == 0.5  # exactly at c = m^{-1/2}
+    assert p_zero_treated(4, 0.5) == 1.0  # at c = m^{-1/2} too, as in p_max
     val = p_zero_treated(4, 1.2)
     assert 0.0 < val < 0.5
     # recompute the finite max over the active-control count directly
@@ -299,7 +299,7 @@ def test_p_max_branches_match_single_branch_p_tilde():
         assert len(free) >= 2
         for tr in free:
             assert p_tilde(m, c, k, rho, tr.m1, tr.m0) == pytest.approx(tr.value, abs=1e-12)
-            (alone,), _ = _optimize_gamma_branches(m, c, rho, [(tr.m1, tr.m0, tr.rho_lower)], None)
+            (alone,) = _optimize_gamma_branches(m, c, rho, [(tr.m1, tr.m0, tr.rho_lower)], None)
             assert alone.n_evals == tr.n_evals
             assert alone.gamma == tr.gamma
 
@@ -332,7 +332,7 @@ def test_dense_gamma_sweep_backs_the_coarse_grid():
             for m1, m0 in _branch_order(m, k)
             if m1 + m0 < m
         ]
-        traces, _ = _optimize_gamma_branches(m, c, rho, branches, None)
+        traces = _optimize_gamma_branches(m, c, rho, branches, None)
         for (m1, m0, rho_lower), trace in zip(branches, traces):
             gammas = np.geomspace(max(rho_lower, 1e-6), 1e4 * max(1.0, 1.0 / rho), 300)
             if rho_lower == 0.0 and m1 > 0:
