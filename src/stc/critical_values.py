@@ -303,12 +303,6 @@ class Table:
     rhos: tuple[float, ...]
     cells: tuple[TableCell, ...]
 
-    def cell(self, alpha: float, m: int, rho: float) -> TableCell:
-        for cell in self.cells:
-            if cell.alpha == alpha and cell.m == m and cell.rho == rho:
-                return cell
-        raise KeyError((alpha, m, rho))
-
     def records(self) -> list[dict]:
         """One dict per cell with a 3-decimal cv; stable field order."""
         records = []

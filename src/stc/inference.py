@@ -163,9 +163,9 @@ def confidence_interval(
 ) -> tuple[float, float]:
     """Two-sided 1−alpha interval: effect ± cv·s (a point when s = 0)."""
     _, effect, s = t_statistic(est)
+    cv = critical_value(est.m, alpha, spec).cv  # validates spec and alpha even when s = 0
     if s == 0.0:
         return (effect, effect)
-    cv = critical_value(est.m, alpha, spec).cv
     return (effect - cv * s, effect + cv * s)
 
 

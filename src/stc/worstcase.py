@@ -22,7 +22,7 @@ three (value, count) groups (`_boundary_rows`), so a kernel evaluation
 costs the same at every m.  One optimizer, `_optimize_gamma_branches`, runs
 that search for a group of branches in lock-step, so that each Brent step
 costs one vectorized tail evaluation for the whole group.  One producer,
-`_branch_traces`, hands it the free branches of `p_max` (growing groups),
+`_branch_traces`, hands it the free branches of `p_max` (all in one group),
 `p_tilde` and the inversions' `_branch_value` (one branch each).  The tail
 kernel's values do not depend on the batch a row is evaluated in, so a
 branch's trace is the same either way.
@@ -273,8 +273,9 @@ def _branch_traces(m: int, c: float, k: int, rho: float, pairs: list[tuple[int, 
     The one producer of branch values for `p_max`, `p_tilde` and
     `_branch_value`, so a branch's value is the same whichever asks.  A fixed
     branch is one default-rule row; the free ones go to one
-    `_optimize_gamma_branches` search, which may exit early (one trace above
-    ``stop_above``).
+    `_optimize_gamma_branches` search.  With ``stop_above`` set, the free
+    search is skipped when a fixed value is already above it, and may itself
+    exit early (one trace above ``stop_above``).
     """
     branches = [(m1, m0, 0.0 if m1 >= m - k + 1 else 1.0 / rho) for m1, m0 in pairs]
     fixed = [br for br in branches if br[0] + br[1] == m]
@@ -285,6 +286,8 @@ def _branch_traces(m: int, c: float, k: int, rho: float, pairs: list[tuple[int, 
         values, counts = _boundary_rows(m, rho, m1s, m0s, 0.0)
         vals = _tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)
         traces = [BranchTrace(*br, None, float(v), 1) for br, v in zip(fixed, vals)]
+        if stop_above is not None and vals.max() > stop_above:
+            return traces
     if free:
         traces += _optimize_gamma_branches(m, c, rho, free, stop_above)
     return traces
@@ -493,37 +496,16 @@ def p_max(
     degenerate = _worthless(m, c)
     if degenerate or _zero_treated_only(m, c, rho):
         return WorstCaseResult(p0, ZeroTreated(j=j0), WorstCaseDiagnostics(degenerate, p0, j0, ()))
+    if stop_above is not None and p0 > stop_above:
+        return WorstCaseResult(p0, ZeroTreated(j=j0), WorstCaseDiagnostics(False, p0, j0, (), False))
 
     order = _branch_order(m, k)
-    trace_map: dict[tuple[int, int], BranchTrace] = {}
-
-    def result(best: BranchTrace | None, complete: bool) -> WorstCaseResult:
-        """The boundary trace ``best``, or the zero-treated case when None."""
-        branches = tuple(trace_map[pair] for pair in order if pair in trace_map)
-        diagnostics = WorstCaseDiagnostics(False, p0, j0, branches, complete)
-        if best is None:
-            return WorstCaseResult(p0, ZeroTreated(j=j0), diagnostics)
-        return WorstCaseResult(best.value, Boundary(best.m1, best.m0, best.gamma), diagnostics)
-
-    if stop_above is not None and p0 > stop_above:
-        return result(None, False)
-
-    # the fixed branches (one row each, the usual maximizer among them) seed
-    # early exits; then the free ones in ramped groups: a tiny first group
-    # keeps the certify-early path cheap, large later ones keep the kernel busy
-    groups = [[pair for pair in order if sum(pair) == m]]
-    free = [pair for pair in order if sum(pair) < m]
-    pos, size = 0, 1
-    while pos < len(free):
-        groups.append(free[pos : pos + size])
-        pos, size = pos + size, min(4 * size, 48)
-
-    best: BranchTrace | None = None
-    for group in groups:
-        for trace in _branch_traces(m, c, k, rho, group, stop_above):
-            trace_map[(trace.m1, trace.m0)] = trace
-            if best is None or trace.value > best.value:
-                best = trace
-        if stop_above is not None and best.value > stop_above:
-            return result(best, False)
-    return result(best if best.value >= p0 else None, True)
+    traces = _branch_traces(m, c, k, rho, order, stop_above)
+    best = max(traces, key=lambda tr: tr.value)  # ties: the first, fixed branches first
+    rank = {pair: i for i, pair in enumerate(order)}
+    branches = tuple(sorted(traces, key=lambda tr: rank[tr.m1, tr.m0]))
+    complete = stop_above is None or best.value <= stop_above
+    diagnostics = WorstCaseDiagnostics(False, p0, j0, branches, complete)
+    if best.value < p0:
+        return WorstCaseResult(p0, ZeroTreated(j=j0), diagnostics)
+    return WorstCaseResult(best.value, Boundary(best.m1, best.m0, best.gamma), diagnostics)

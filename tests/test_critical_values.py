@@ -373,7 +373,7 @@ def test_table_cell_error_capture(monkeypatch, capsys):
 
     monkeypatch.setattr(cv_mod, "critical_value", boom)
     table = cv_mod.generate_table([0.05], [5], [1.0], k=1)
-    cell = table.cell(0.05, 5, 1.0)
+    (cell,) = table.cells
     assert cell.cv is None
     assert "synthetic failure" in cell.error
     argv = ["--alphas", "0.05", "--ms", "5", "--rhos", "1", "--k", "1"]

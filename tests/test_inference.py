@@ -187,6 +187,11 @@ def test_spec_for_another_m_is_rejected():
 def test_confidence_interval_with_zero_control_spread_is_a_point():
     est = ClusterEstimates(np.array([1.0, 1.0, 1.0, 1.0, 1.0]), 3.0)
     assert confidence_interval(est, SPEC51, alpha=0.05) == (2.0, 2.0)
+    # the spec and alpha are checked as run_test checks them, spread or not
+    with pytest.raises(InvalidParameterError, match="does not match m=3"):
+        confidence_interval(ClusterEstimates(np.ones(3), 2.0), SPEC51, alpha=0.05)
+    with pytest.raises(InvalidParameterError, match="alpha must lie in"):
+        confidence_interval(est, SPEC51, alpha=0.9)
 
 
 def test_one_sided_intervals():

@@ -1,15 +1,18 @@
 """Tail integral P0[|T_m| > c] against closed forms and Monte Carlo."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stc.rejection
 from stc.distributions import t_two_sided_tail
 from stc.charpoly import GammaConfig, _roots_batch
-from stc.errors import InvalidParameterError
+from stc.errors import InvalidParameterError, NumericalFailureError
 from stc.rejection import (
+    _CHUNK_ELEMENTS,
     DEFAULT_SETTINGS,
     QuadratureSettings,
     _nodes_weights,
@@ -18,7 +21,7 @@ from stc.rejection import (
     rejection_probability,
 )
 from stc.simulate import empirical_rejection_rate
-from stc.worstcase import _PROBE_SETTINGS, _boundary_rows
+from stc.worstcase import _PROBE_SETTINGS, HeterogeneitySpec, _boundary_rows, p_bar, p_max, p_tilde
 
 
 def _equal_ratio_exact(m: int, gamma: float, c: float) -> float:
@@ -101,7 +104,7 @@ def test_panel_doubling_is_converged():
         assert abs(a - b) < 1e-9
 
 
-def test_batch_rows_match_single_calls():
+def test_batch_rows_match_single_calls(monkeypatch):
     rng = np.random.default_rng(8)
     rows = rng.uniform(0.0, 3.0, size=(40, 6))
     rows[rows < 0.3] = 0.0
@@ -119,6 +122,35 @@ def test_batch_rows_match_single_calls():
     for i in range(values.shape[0]):
         alone = _tails_for_gamma_rows(values[i : i + 1], c, counts=counts[i : i + 1])
         assert batch[i] == alone[0]
+    # and for a grouped batch that the kernel splits into several chunks
+    per_chunk = _CHUNK_ELEMENTS // (DEFAULT_SETTINGS.panels * DEFAULT_SETTINGS.nodes_per_panel * 3)
+    m1 = rng.integers(1, 10, size=3 * per_chunk + 5)
+    m0 = rng.integers(0, 10 - m1)
+    values, counts = _boundary_rows(9, 1.5, m1, m0, rng.uniform(0.0, 3.0, size=m1.size))
+    batch = _tails_for_gamma_rows(values, c, counts=counts)
+    for i in range(values.shape[0]):
+        alone = _tails_for_gamma_rows(values[i : i + 1], c, counts=counts[i : i + 1])
+        assert batch[i] == alone[0]
+    # the chunk budget sets memory only: one row per chunk gives the same p_max
+    spec = HeterogeneitySpec(m=6, k=2, rho=1.0)
+    default = p_max(6, 2.5, spec)
+    monkeypatch.setattr(stc.rejection, "_CHUNK_ELEMENTS", 1)
+    assert p_max(6, 2.5, spec) == default
+
+
+def test_overflowing_ratio_is_one_numerical_failure():
+    # kappa * ratio^2 past the float range is refused at the kernel entry,
+    # before numpy warns of an overflow and the integral turns to nan
+    calls = (
+        lambda: p_tilde(5, 2.0, 2, 1e-160, 0, 0),
+        lambda: p_bar(5, 2.0, 1.0, 1e200, 1, 0),
+        lambda: rejection_probability(GammaConfig([1e200, 1, 1], 2.0)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NumericalFailureError, match=r"ratio 1e\+\d+ is too large"):
+                call()
 
 
 def test_zero_count_groups_are_inert():

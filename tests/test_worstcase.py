@@ -279,6 +279,33 @@ def test_stop_above_certifies_exceedance():
     assert full.value == pytest.approx(exact.value, rel=1e-12)
 
 
+def test_stop_above_exits_early_in_its_one_pass():
+    # p_max searches every branch in one pass, the fixed ones (m1 + m0 = m)
+    # first; a free branch wins here, above every fixed one
+    m, c = 8, 2.0
+    spec = HeterogeneitySpec(m=m, k=2, rho=0.3)
+    exact = p_max(m, c, spec)
+    fixed = tuple(tr for tr in exact.diagnostics.branches if tr.gamma is None)
+    top_fixed = max(tr.value for tr in fixed)
+    top_free = max(tr.value for tr in exact.diagnostics.branches if tr.gamma is not None)
+    assert top_free > top_fixed
+    # below the fixed maximum: no free search starts
+    early = p_max(m, c, spec, stop_above=0.5 * top_fixed)
+    assert not early.diagnostics.complete
+    assert early.diagnostics.branches == fixed
+    assert all(tr.n_evals == 1 for tr in fixed)
+    assert early.value == top_fixed
+    # between the two: the free search's grid phase certifies it and adds
+    # exactly one free trace
+    threshold = 0.5 * (top_fixed + top_free)
+    early = p_max(m, c, spec, stop_above=threshold)
+    assert not early.diagnostics.complete
+    assert tuple(tr for tr in early.diagnostics.branches if tr.gamma is None) == fixed
+    (added,) = (tr for tr in early.diagnostics.branches if tr.gamma is not None)
+    assert early.value == added.value > threshold
+    assert early.achieving_config == Boundary(added.m1, added.m0, added.gamma)
+
+
 def test_branch_budget_respected():
     # the enumeration solves at most k(2m+1-k)/2 free-ratio problems
     m, c = 9, 2.8
@@ -289,7 +316,7 @@ def test_branch_budget_respected():
 
 
 def test_p_max_branches_match_single_branch_p_tilde():
-    # p_max optimizes its free-ratio branches in lock-step groups; each
+    # p_max optimizes its free-ratio branches in one lock-step group; each
     # branch's trace must equal the branch optimized alone (p_tilde), with
     # the same number of kernel evaluations
     for m, k, rho, c in ((6, 2, 2.0, 2.5), (8, 3, 0.7, 3.0), (11, 2, 1.5, 2.2)):
