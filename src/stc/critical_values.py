@@ -224,7 +224,9 @@ def critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalVal
     Uses the exact closed form when its validity condition holds (k = 1,
     m >= 4, rho > 0 and alpha <= alpha_underline); otherwise inverts
     `p_max` with `_certified_first_true` to a bracket width of 5e-5
-    (returning its upper end).
+    (returning its upper end).  Either way one complete `p_max` at the
+    returned cv fills ``worst_case``; on the ClosedFormK1 path it is the
+    check of the closed form, whose worst case there is alpha.
 
     Raises:
         InvalidParameterError: alpha outside (0, 0.5) or mismatched spec.

@@ -19,15 +19,18 @@ __all__ = [
 ]
 
 
-def as_integer(name: str, value) -> int:
+def as_integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int; InvalidParameterError unless ``int(value) == value``,
-    so a count such as 2.9 is refused instead of truncated."""
+    so a count such as 2.9 is refused instead of truncated, and unless it is at
+    least ``minimum`` when one is given."""
     try:
         integral = bool(int(value) == value)
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and int(value) < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 

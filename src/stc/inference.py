@@ -30,6 +30,7 @@ __all__ = [
     "TestReport",
     "RhoFrontier",
     "t_statistic",
+    "t_statistics",
     "p_value",
     "confidence_interval",
     "run_test",
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 _FRONTIER_REL_TOL = 1e-4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,10 @@ class Sided(enum.Enum):
 class TestReport:
     """Complete outcome of one worst-case t-test.
 
-    ``degenerate`` marks a zero control standard deviation: the t-statistic
-    is then signed infinity (or 0 when the effect is also 0) and the p-value
-    is a limit convention rather than a computed tail.
+    ``degenerate`` marks equal control estimates (a control standard
+    deviation of exactly 0): the t-statistic is then signed infinity (or 0
+    when the effect is also 0) and the p-value is a limit convention rather
+    than a computed tail.
     """
 
     t_stat: float
@@ -111,27 +114,65 @@ class RhoFrontier:
     bounds: tuple[float, ...]
 
 
-def t_statistic(est: ClusterEstimates) -> tuple[float, float, float]:
-    """(t, effect, s): effect over the control sample standard deviation.
+def t_statistics(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise (t, effect, s); a row holds the m controls, then the treated estimate.
 
-    effect = treated − mean(controls); s uses the m−1 divisor.  A zero s
-    yields signed infinity (or 0 for a zero effect) rather than an error.
+    effect = treated − mean(controls); s is the controls' sample standard
+    deviation (m−1 divisor).  Equal controls have s = 0 exactly, with their
+    common value as the mean: t is then signed infinity, or 0 for a zero effect.
     """
-    effect = est.treated - float(np.mean(est.controls))
-    s = float(np.std(est.controls, ddof=1))
-    if s == 0.0:
-        t = 0.0 if effect == 0.0 else math.copysign(math.inf, effect)
-    else:
+    rows = np.asarray(rows, dtype=float)
+    controls = rows[:, :-1]
+    m = controls.shape[1]
+    mean = controls.sum(axis=1) / m
+    dev = controls - mean[:, None]
+    s = np.sqrt(np.einsum("ij,ij->i", dev, dev) / (m - 1))
+    # equal controls leave s within the rounding of the m-term sum, below 2m·eps·|mean|
+    near = np.flatnonzero(s <= np.abs(mean) * (2.0 * m * _EPS))
+    if near.size:
+        equal = near[(controls[near] == controls[near, :1]).all(axis=1)]
+        s[equal], mean[equal] = 0.0, controls[equal, 0]
+    effect = rows[:, -1] - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
         t = effect / s
+    t[(s == 0.0) & (effect == 0.0)] = 0.0
     return t, effect, s
 
 
-def _p_two_sided(m: int, abs_t: float, spec: HeterogeneitySpec) -> float:
-    if math.isinf(abs_t):
-        return 0.0  # limit of p_max as the threshold grows
-    if abs_t == 0.0:
-        return 1.0
-    return p_max(m, abs_t, spec).value
+def t_statistic(est: ClusterEstimates) -> tuple[float, float, float]:
+    """(t, effect, s) of one set of estimates: the one-row `t_statistics`."""
+    t, effect, s = t_statistics(np.append(est.controls, est.treated)[None, :])
+    return float(t[0]), float(effect[0]), float(s[0])
+
+
+# the side a Sided tests: +1 the greater, -1 the less, 0 both
+_DIRECTION = {Sided.TWO_SIDED: 0, Sided.ONE_SIDED_GREATER: 1, Sided.ONE_SIDED_LESS: -1}
+
+
+def _observed(est: ClusterEstimates, spec: HeterogeneitySpec,
+              sided: Sided) -> tuple[int, float, float, float]:
+    """The direction ``sided`` tests, then (t, effect, s) of the estimates."""
+    if not isinstance(sided, Sided):
+        raise InvalidParameterError(f"sided must be a Sided, got {sided!r}")
+    if spec.m != est.m:
+        raise InvalidParameterError(f"spec.m={spec.m} does not match data m={est.m}")
+    return (_DIRECTION[sided], *t_statistic(est))
+
+
+def _p_value(m: int, t: float, spec: HeterogeneitySpec, direction: int) -> float:
+    at = abs(t)
+    two = 0.0 if math.isinf(at) else 1.0 if at == 0.0 else p_max(m, at, spec).value
+    if direction == 0:
+        return two
+    return 0.5 * two if direction * t >= 0.0 else 1.0 - 0.5 * two
+
+
+def _interval(effect: float, s: float, cv: float, direction: int) -> tuple[float, float]:
+    """effect ± cv·s, unbounded away from a tested side; a point when s = 0."""
+    if s == 0.0:
+        return (effect, effect)
+    return (effect - cv * s if direction >= 0 else -math.inf,
+            effect + cv * s if direction <= 0 else math.inf)
 
 
 def p_value(
@@ -141,19 +182,13 @@ def p_value(
 ) -> float:
     """Worst-case p-value of the observed t-statistic.
 
-    Two-sided: the worst-case tail at |t| (1 whenever |t| <= m^{-1/2}).
-    One-sided: half the two-sided value when t lies in the tested
-    direction — the null distribution of the statistic is symmetric — and
-    the complement of that half otherwise.
+    Two-sided: the worst-case tail at |t| (1 whenever |t| <= m^{-1/2}, 0 at
+    infinity).  One-sided: half the two-sided value when t lies in the
+    tested direction — the null distribution of the statistic is symmetric
+    — and the complement of that half otherwise.
     """
-    if spec.m != est.m:
-        raise InvalidParameterError(f"spec.m={spec.m} does not match data m={est.m}")
-    t, _, _ = t_statistic(est)
-    two = _p_two_sided(est.m, abs(t), spec)
-    if sided is Sided.TWO_SIDED:
-        return two
-    toward = t >= 0.0 if sided is Sided.ONE_SIDED_GREATER else t <= 0.0
-    return 0.5 * two if toward else 1.0 - 0.5 * two
+    direction, t, _, _ = _observed(est, spec, sided)
+    return _p_value(est.m, t, spec, direction)
 
 
 def confidence_interval(
@@ -164,9 +199,7 @@ def confidence_interval(
     """Two-sided 1−alpha interval: effect ± cv·s (a point when s = 0)."""
     _, effect, s = t_statistic(est)
     cv = critical_value(est.m, alpha, spec).cv  # validates spec and alpha even when s = 0
-    if s == 0.0:
-        return (effect, effect)
-    return (effect - cv * s, effect + cv * s)
+    return _interval(effect, s, cv, 0)
 
 
 def run_test(
@@ -175,33 +208,17 @@ def run_test(
     alpha: float,
     sided: Sided = Sided.TWO_SIDED,
 ) -> TestReport:
-    """Full test at level alpha: statistic, decision, p-value, interval."""
-    if spec.m != est.m:
-        raise InvalidParameterError(f"spec.m={spec.m} does not match data m={est.m}")
-    t, effect, s = t_statistic(est)
-    if sided is Sided.TWO_SIDED:
-        cv = critical_value(est.m, alpha, spec)
-        reject = abs(t) > cv.cv
-    else:
-        cv = one_sided_critical_value(est.m, alpha, spec)
-        reject = t > cv.cv if sided is Sided.ONE_SIDED_GREATER else t < -cv.cv
-    if s == 0.0:
-        ci = (effect, effect)
-    elif sided is Sided.TWO_SIDED:
-        ci = (effect - cv.cv * s, effect + cv.cv * s)
-    elif sided is Sided.ONE_SIDED_GREATER:
-        ci = (effect - cv.cv * s, math.inf)
-    else:
-        ci = (-math.inf, effect + cv.cv * s)
+    """Full test at level alpha: statistic, decision, p-value, interval.
+
+    One side uses the two-sided critical value at 2·alpha."""
+    direction, t, effect, s = _observed(est, spec, sided)
+    cv = (one_sided_critical_value if direction else critical_value)(est.m, alpha, spec)
     return TestReport(
-        t_stat=t,
-        effect=effect,
-        control_sd=s,
-        cv=cv,
-        p_value=p_value(est, spec, sided),
-        ci=ci,
+        t_stat=t, effect=effect, control_sd=s, cv=cv,
+        p_value=_p_value(est.m, t, spec, direction),
+        ci=_interval(effect, s, cv.cv, direction),
         sided=sided,
-        reject=reject,
+        reject=(direction * t if direction else abs(t)) > cv.cv,
         degenerate=s == 0.0,
     )
 

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charpoly import GammaConfig, _roots_batch
-from .errors import InvalidParameterError, NumericalFailureError
+from .errors import InvalidParameterError, NumericalFailureError, as_integer
 
 __all__ = ["QuadratureSettings", "rejection_probability"]
 
@@ -68,14 +68,9 @@ class QuadratureSettings:
     nodes_per_panel: int = 16
 
     def __post_init__(self):
-        if int(self.panels) < 1:
-            raise InvalidParameterError(f"panels must be >= 1, got {self.panels}")
-        if int(self.nodes_per_panel) < 2:
-            raise InvalidParameterError(
-                f"nodes_per_panel must be >= 2, got {self.nodes_per_panel}"
-            )
-        object.__setattr__(self, "panels", int(self.panels))
-        object.__setattr__(self, "nodes_per_panel", int(self.nodes_per_panel))
+        object.__setattr__(self, "panels", as_integer("panels", self.panels, 1))
+        object.__setattr__(self, "nodes_per_panel",
+                           as_integer("nodes_per_panel", self.nodes_per_panel, 2))
 
 
 DEFAULT_SETTINGS = QuadratureSettings()

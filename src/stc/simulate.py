@@ -35,6 +35,7 @@ import numpy as np
 
 from .critical_values import CriticalValueResult, critical_value
 from .errors import InvalidParameterError, as_integer
+from .inference import t_statistics, t_statistics as t_statistics_from_thetas  # re-export
 from .worstcase import HeterogeneitySpec
 
 __all__ = [
@@ -72,13 +73,11 @@ class NormalMeansDesign:
     def __post_init__(self):
         if self.dgp not in (1, 2):
             raise InvalidParameterError(f"NormalMeans dgp must be 1 or 2, got {self.dgp}")
-        if as_integer("m", self.m) < 2:
-            raise InvalidParameterError(f"m must be >= 2, got {self.m}")
+        object.__setattr__(self, "m", as_integer("m", self.m, 2))
         if not (math.isfinite(self.rho) and self.rho >= 0):
             raise InvalidParameterError(f"rho must be finite and >= 0, got {self.rho}")
         if not math.isfinite(self.delta):
             raise InvalidParameterError("delta must be finite")
-        object.__setattr__(self, "m", int(self.m))
 
     def control_sigmas(self) -> np.ndarray:
         j = np.arange(1, self.m + 1, dtype=float)
@@ -114,10 +113,8 @@ class TwfeDesign:
     def __post_init__(self):
         if self.dgp not in (1, 2, 3, 4, 5):
             raise InvalidParameterError(f"Twfe dgp must be in 1..5, got {self.dgp}")
-        m, periods = as_integer("m", self.m), as_integer("periods", self.periods)
+        m, periods = as_integer("m", self.m, 2), as_integer("periods", self.periods)
         intervention = as_integer("intervention", self.intervention)
-        if m < 2:
-            raise InvalidParameterError(f"m must be >= 2, got {self.m}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidParameterError(f"sigma must be positive, got {self.sigma}")
         if not math.isfinite(self.theta):
@@ -158,10 +155,7 @@ class MCConfig:
     rho: float | None = None
 
     def __post_init__(self):
-        reps = as_integer("reps", self.reps)
-        if reps < 1:
-            raise InvalidParameterError(f"reps must be >= 1, got {self.reps}")
-        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "reps", as_integer("reps", self.reps, 1))
         object.__setattr__(self, "seed", as_integer("seed", self.seed))
 
     @property
@@ -192,21 +186,6 @@ def _chunks(reps: int):
         yield chunk, rows
 
 
-def t_statistics_from_thetas(thetas: np.ndarray) -> np.ndarray:
-    """Row-wise t statistics; the last column is the treated estimate."""
-    thetas = np.asarray(thetas, dtype=float)
-    m = thetas.shape[1] - 1
-    mean = thetas[:, :-1].sum(axis=1) / m
-    dev = thetas[:, :-1] - mean[:, None]
-    s = np.sqrt(np.einsum("ij,ij->i", dev, dev) / (m - 1))
-    diff = thetas[:, -1] - mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = diff / s
-    # zero spread: +-inf by the sign of the difference, 0 when it is 0 too
-    t[(s == 0.0) & (diff == 0.0)] = 0.0
-    return t
-
-
 def _normal_means_thetas(rows: int, rng: np.random.Generator,
                          sigmas: np.ndarray, delta: float) -> np.ndarray:
     thetas = rng.standard_normal((_CHUNK_ROWS, sigmas.size))[:rows]
@@ -229,12 +208,15 @@ def normal_means_t_statistics(
         raise InvalidParameterError("need at least 2 control sigmas plus the treated sigma")
     if not np.all(np.isfinite(sigmas)) or np.any(sigmas < 0):
         raise InvalidParameterError("sigmas must be finite and >= 0")
-    reps, seed = as_integer("reps", reps), as_integer("seed", seed)
+    delta = float(delta)
+    if not math.isfinite(delta):
+        raise InvalidParameterError(f"delta must be finite, got {delta!r}")
+    reps, seed = as_integer("reps", reps, 1), as_integer("seed", seed)
     out = np.empty(reps)
     for chunk, rows in _chunks(reps):
         rng = _chunk_generator(seed, chunk)
         thetas = _normal_means_thetas(rows, rng, sigmas, delta)
-        out[chunk * _CHUNK_ROWS:chunk * _CHUNK_ROWS + rows] = t_statistics_from_thetas(thetas)
+        out[chunk * _CHUNK_ROWS:chunk * _CHUNK_ROWS + rows] = t_statistics(thetas)[0]
     return out
 
 
@@ -306,7 +288,7 @@ def twfe_theta_hats(design: TwfeDesign, reps: int, seed: int) -> np.ndarray:
     so no panel is built; tests check it against the post-minus-pre means
     of the full ``_twfe_outcomes`` panels drawn from the same stream.
     """
-    reps, seed = as_integer("reps", reps), as_integer("seed", seed)
+    reps, seed = as_integer("reps", reps, 1), as_integer("seed", seed)
     weights, offset = _twfe_linear_map(design)
     out = np.empty((reps, design.m + 1))
     for chunk, rows in _chunks(reps):
@@ -326,7 +308,7 @@ def _design_t_statistics(design, reps: int, seed: int) -> np.ndarray:
         sigmas = np.append(design.control_sigmas(), design.rho)
         return normal_means_t_statistics(sigmas, design.delta, reps, seed)
     if isinstance(design, TwfeDesign):
-        return t_statistics_from_thetas(twfe_theta_hats(design, reps, seed))
+        return t_statistics(twfe_theta_hats(design, reps, seed))[0]
     raise InvalidParameterError(f"unknown design: {design!r}")
 
 
@@ -345,8 +327,9 @@ def run(
     """Rejection frequency of the two-sided t-test over seeded replications.
 
     Each replication draws estimates from the configured design, forms the
-    t statistic, and rejects when it exceeds the critical value for
-    (alpha, k, rho) — identical to running the full test on each draw.
+    t statistic with the test's own `inference.t_statistics`, and rejects
+    when it exceeds the critical value for (alpha, k, rho): the same
+    decision as `run_test` on each draw.
     Identical configs (including seed) give bit-identical results.
     """
     spec = HeterogeneitySpec(config.design.m, config.k, config.test_rho)
@@ -364,7 +347,7 @@ def empirical_rejection_rate(
     worst-case search, just the configured normal draws against a fixed
     threshold.
     """
-    reps, seed = as_integer("reps", reps), as_integer("seed", seed)
-    if reps < 1:
-        raise InvalidParameterError(f"reps must be >= 1, got {reps}")
-    return _mc_result(normal_means_t_statistics(sigmas, delta, reps, seed), float(c))
+    c = float(c)
+    if not math.isfinite(c) or c <= 0:
+        raise InvalidParameterError(f"threshold c must be finite and > 0, got {c!r}")
+    return _mc_result(normal_means_t_statistics(sigmas, delta, reps, seed), c)

@@ -73,9 +73,7 @@ class HeterogeneitySpec:
     rho: float
 
     def __post_init__(self):
-        m, k = as_integer("m", self.m), as_integer("k", self.k)
-        if m < 2:
-            raise InvalidParameterError(f"m must be >= 2, got {self.m}")
+        m, k = as_integer("m", self.m, 2), as_integer("k", self.k)
         if not 1 <= k <= m:
             raise InvalidParameterError(f"k must lie in 1..{self.m}, got {self.k}")
         rho = float(self.rho)
@@ -140,12 +138,10 @@ class WorstCaseResult:
 
 
 def _validate_mc(m: int, c: float) -> tuple[int, float]:
-    if as_integer("m", m) < 2:
-        raise InvalidParameterError(f"m must be >= 2, got {m}")
-    c = float(c)
+    m, c = as_integer("m", m, 2), float(c)
     if not math.isfinite(c) or c <= 0:
         raise InvalidParameterError(f"threshold c must be finite and > 0, got {c!r}")
-    return int(m), c
+    return m, c
 
 
 def _worthless(m: int, c: float) -> bool:
@@ -318,8 +314,9 @@ def _branch_order(m: int, k: int) -> list[tuple[int, int]]:
     """(m1, m0) enumeration with the large-m warm start first.
 
     The warm-start configuration (k-1 zeros, remaining m-k+1 controls at
-    rho^{-1}) is the known worst case in the large-m regime; evaluating it
-    first seeds the incumbent.
+    rho^{-1}) is the known worst case in the large-m regime.  `p_max`
+    evaluates every branch in one pass, so the order only decides which
+    branch wins a tie and the order of ``diagnostics.branches``.
     """
     pairs = [(m - k + 1, k - 1)]
     for m0 in range(k):

@@ -193,6 +193,18 @@ def test_flat_panel_never_rejects(capsys, flat_csv):
     assert obj["reject"] is False
 
 
+def test_equal_control_effects_give_the_degenerate_report(capsys, tmp_path):
+    # DiD effects 0.1, 0.1, 0.1 average to one ulp off 0.1; the spread is
+    # still exactly 0, not a t of 6e16 past the tail kernel's range
+    path = tmp_path / "equal.csv"
+    path.write_text(DID_HEADER + "a,1,0\na,2,0.1\nb,1,0\nb,2,0.1\nc,1,0\nc,2,0.1\n"
+                    "t,1,0\nt,2,1.1\n")
+    obj = _run_json(capsys, ["test", *_did_args(str(path), ["--alpha", "0.05"])])
+    assert obj["degenerate"] is True and obj["reject"] is True
+    assert (obj["t_stat"], obj["control_sd"], obj["p_value"]) == ("inf", 0.0, 0.0)
+    assert obj["ci"][0] == obj["ci"][1] == obj["delta_hat"]
+
+
 # --------------------------------------------------------- rho-frontier
 
 

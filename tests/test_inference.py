@@ -175,6 +175,36 @@ def test_degenerate_report():
     assert less.p_value == 1.0
 
 
+@pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3, 123.456])
+def test_equal_controls_have_exactly_zero_spread(value):
+    # the rounded mean of equal controls is not always their value; the
+    # spread is still exactly 0 and the effect is measured from the value
+    for m in range(2, 201):
+        controls = np.full(m, value)
+        for treated, t in [(value + 1.0, math.inf), (value - 1.0, -math.inf), (value, 0.0)]:
+            assert t_statistic(ClusterEstimates(controls, treated)) == (t, treated - value, 0.0)
+    for m in [2, 3, 4, 17, 200]:
+        est = ClusterEstimates(np.full(m, value), value + 1.0)
+        spec = HeterogeneitySpec(m=m, k=1, rho=1.0)
+        point = (est.treated - value,) * 2
+        report = run_test(est, spec, alpha=0.05)
+        assert report.degenerate and report.reject and report.p_value == 0.0
+        assert report.ci == point == confidence_interval(est, spec, alpha=0.05)
+        less = run_test(est, spec, alpha=0.05, sided=Sided.ONE_SIDED_LESS)
+        assert less.degenerate and not less.reject and less.p_value == 1.0
+        assert less.ci == point
+
+
+def test_sided_must_be_a_sided():
+    # a string used to fall through to the less-side rule
+    est = _est_with_t(3.5)
+    for sided in ["greater", "TwoSided", None, 1]:
+        with pytest.raises(InvalidParameterError, match="sided must be a Sided"):
+            p_value(est, SPEC51, sided)
+        with pytest.raises(InvalidParameterError, match="sided must be a Sided"):
+            run_test(est, SPEC51, alpha=0.05, sided=sided)
+
+
 def test_spec_for_another_m_is_rejected():
     est = _est_with_t(2.0)
     spec4 = HeterogeneitySpec(m=4, k=1, rho=1.0)

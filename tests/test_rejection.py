@@ -189,6 +189,17 @@ def test_grouped_rows_match_expanded_rows():
                 assert np.max(np.abs(grouped - flat)) <= 1e-12
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"panels": 0}, "panels must be >= 1, got 0"),
+    ({"nodes_per_panel": 1}, "nodes_per_panel must be >= 2, got 1"),
+    ({"panels": 16.5}, "panels must be an integer"),  # was truncated to 16
+    ({"nodes_per_panel": 2.9}, "nodes_per_panel must be an integer"),
+])
+def test_quadrature_settings_are_whole_counts(kwargs, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        QuadratureSettings(**kwargs)
+
+
 def test_batch_rows_must_share_m():
     values = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
     counts = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0]])

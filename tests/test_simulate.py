@@ -7,6 +7,7 @@ import pytest
 from stc.critical_values import critical_value
 from stc.designs import DesignKind, PanelData, extract
 from stc.errors import InvalidParameterError
+from stc.inference import ClusterEstimates, t_statistic
 from stc.simulate import (
     MCConfig,
     MCResult,
@@ -18,7 +19,12 @@ from stc.simulate import (
     t_statistics_from_thetas,
     twfe_theta_hats,
 )
-from stc.simulate import _CHUNK_ROWS, _chunk_generator, _twfe_outcomes  # white-box checks
+from stc.simulate import (  # white-box checks
+    _CHUNK_ROWS,
+    _chunk_generator,
+    _normal_means_thetas,
+    _twfe_outcomes,
+)
 from stc.worstcase import HeterogeneitySpec, p_max
 
 
@@ -84,15 +90,51 @@ def test_design_parameterizations():
 
 
 def test_t_statistics_degenerate_rows():
-    t = t_statistics_from_thetas(
+    t, _, _ = t_statistics_from_thetas(
         np.array([[1.0, 1.0, 1.0, 4.0], [2.0, 2.0, 2.0, 2.0], [0.0, 2.0, 4.0, 2.0]])
     )
     assert t[0] == math.inf
     assert t[1] == 0.0
     assert t[2] == 0.0
-    t = t_statistics_from_thetas(np.array([[1.0, 1.0, 1.0, -4.0], [0.0, 1.0, 2.0, 3.0]]))
+    t, _, _ = t_statistics_from_thetas(np.array([[1.0, 1.0, 1.0, -4.0], [0.0, 1.0, 2.0, 3.0]]))
     assert t[0] == -math.inf
     assert t[1] == pytest.approx(2.0)
+
+
+def test_each_draws_t_is_the_full_tests_t():
+    # the Monte Carlo and the test share one statistic: every draw's t is ==
+    # to t_statistic of that draw's estimates, normal and TWFE designs alike
+    rng = np.random.default_rng(15)
+    draws = 0
+    for m in [2, 3, 4, 7, 10, 16, 31, 64, 100, 128, 199, 200]:
+        sigmas = rng.uniform(0.2, 3.0, m + 1)
+        t = normal_means_t_statistics(sigmas, 0.4, reps=150, seed=m)
+        thetas = _normal_means_thetas(150, _chunk_generator(m, 0), sigmas, 0.4)
+        hats = twfe_theta_hats(TwfeDesign(dgp=4, m=m, sigma=2.0), reps=40, seed=m)
+        pairs = list(zip(thetas, t)) + list(zip(hats, t_statistics_from_thetas(hats)[0]))
+        for row, mc_t in pairs:
+            assert t_statistic(ClusterEstimates(row[:-1], row[-1]))[0] == mc_t
+        draws += len(pairs)
+    assert draws >= 2000
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: normal_means_t_statistics(np.ones(4), 0.0, reps=-1, seed=1), "reps must be >= 1"),
+    (lambda: normal_means_t_statistics(np.ones(4), 0.0, reps=0, seed=1), "reps must be >= 1"),
+    (lambda: twfe_theta_hats(TwfeDesign(dgp=1, m=4), reps=-1, seed=1), "reps must be >= 1"),
+    (lambda: twfe_theta_hats(TwfeDesign(dgp=1, m=4), reps=0, seed=1), "reps must be >= 1"),
+    (lambda: empirical_rejection_rate(np.ones(4), math.nan, 2.0, reps=10, seed=1),
+     "delta must be finite"),
+    (lambda: empirical_rejection_rate(np.ones(4), 0.0, math.nan, reps=10, seed=1),
+     "threshold c must be finite and > 0"),
+    (lambda: empirical_rejection_rate(np.ones(4), 0.0, math.inf, reps=10, seed=1),
+     "threshold c must be finite and > 0"),
+    (lambda: empirical_rejection_rate(np.ones(4), 0.0, 0.0, reps=10, seed=1),
+     "threshold c must be finite and > 0"),
+])
+def test_bad_monte_carlo_inputs_are_refused(call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call()
 
 
 def test_bitwise_determinism_and_prefix():

@@ -372,6 +372,38 @@ def test_dense_gamma_sweep_backs_the_coarse_grid():
             assert trace.value >= sweep.max() - 1e-10, (m, k, rho, c, m1, m0)
 
 
+def test_gamma_truncation_loses_nothing_beyond_it():
+    # the branch search stops at gamma = 1e4 * max(1, 1/rho); every free
+    # branch evaluated far beyond it, at 1e5, 1e6 and 1e8 times that scale,
+    # stays at or below p_max (the gamma -> inf limit is the zero-treated one)
+    rng = np.random.default_rng(10_000)
+    points = 0
+    for _ in range(16):
+        m = int(rng.integers(2, 13))
+        k = int(rng.integers(1, m + 1))
+        rho = float(10.0 ** rng.uniform(-1.0, 1.0))
+        c = float(rng.uniform(1.0 + 1e-3, 11.0)) / math.sqrt(m)
+        top = p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho)).value
+        for m1, m0 in _branch_order(m, k):
+            if m1 + m0 < m:
+                for scale in (1e5, 1e6, 1e8):
+                    gamma = scale * max(1.0, 1.0 / rho)
+                    assert p_bar(m, c, rho, gamma, m1, m0) <= top + 1e-12, (m, k, rho, c, m1, m0)
+                    points += 1
+    assert points >= 1000
+
+
+@pytest.mark.xfail(strict=True, reason="the tail kernel loses relative accuracy above about "
+                   "c = 1e6 (root bracket and F(t) - 1 cancellation)")
+def test_p_max_keeps_its_c_cubed_tail_at_huge_thresholds():
+    # at m = 4, k = 1, rho = 0.5, p_max * c^3 settles at 0.77970: c = 1e4 and
+    # 1e5 agree to 3e-7; it reads 0.77979 at 1e6 and 0.77775 at 1e7
+    spec = HeterogeneitySpec(m=4, k=1, rho=0.5)
+    settled = p_max(4, 1e4, spec).value * 1e12
+    for c in (1e5, 1e6, 1e7):
+        assert p_max(4, c, spec).value * c**3 == pytest.approx(settled, rel=1e-6), c
+
+
 def test_branch_search_cost_is_pinned():
     # kernel evaluations per free branch: grid, Brent probes and the
     # default-rule evaluation of each refined peak
