@@ -16,9 +16,11 @@ decimal, header ``cluster,unit,time,outcome,c`` where ``unit`` and ``c``
 (and ``time`` for cross-sections) may be omitted; a line that starts,
 after any blanks, with an unquoted '#' is a comment (a quoted "#a" is an
 id, and ``write_panel_csv`` quotes every field of a row whose cluster id
-starts with '#').  A bad row's error names its first physical line, counting
-the line breaks inside quoted fields.  The treated cluster is designated by
---treated, never by a column, so one schema serves every design.
+starts with '#').  numpy's C parser reads the body; a file it refuses is
+read again record by record, so a bad row's error still names its first
+physical line, counting the line breaks inside quoted fields.  The treated
+cluster is designated by --treated, never by a column, so one schema serves
+every design.
 
 Each subcommand computes one record, and every format derives from it.
 JSON is the record and round-trips byte-identically: floats are pre-rounded
@@ -44,6 +46,7 @@ import math
 import operator
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -72,6 +75,9 @@ from .worstcase import Boundary, HeterogeneitySpec, ZeroTreated
 __all__ = ["main", "read_panel_csv", "write_panel_csv"]
 
 _CSV_COLUMNS = ("cluster", "unit", "time", "outcome", "c")
+# the C parser's type of each column; ids are objects, since a fixed-width
+# string dtype would truncate them
+_DTYPES = {"time": np.int64, "outcome": np.float64, "c": np.int64}
 _DESIGNS = {
     "mean": DesignKind.CLUSTERED_MEAN,
     "did": DesignKind.DID,
@@ -88,46 +94,71 @@ _SIDED = {"greater": Sided.ONE_SIDED_GREATER, "less": Sided.ONE_SIDED_LESS}
 def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
     """Parse the panel schema into column arrays (absent columns -> None).
 
-    Each column is cast once; only a failed cast is searched for its first
-    bad field, whose physical line the error names.
+    numpy's C parser reads the body in one call.  A file it refuses, or one
+    whose first column holds an id starting with '#' (which may be a comment
+    line), is read again record by record, and only that reader reports errors.
     """
-    rows: list[list[str]] = []
-    numbers = array.array("q")  # each row's first physical line
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            header = _header(path, next(_records(path, fh), (0, []))[1])
+            dtype = [(name, _DTYPES.get(name, object)) for name in header]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                                  ndmin=1)
+        out: dict[str, np.ndarray | None] = dict.fromkeys(_CSV_COLUMNS)
+        out.update((name, _cast(name, body[name])) for name in header)
+        # a comment line with the header's field count parses as a row whose
+        # first id starts with '#'
+        if body.size and (header[0] in _DTYPES
+                          or not np.char.startswith(out[header[0]], "#").any()):
+            return out
+    except (ValueError, OverflowError):
+        pass
+    return _read_records(path)
+
+
+def _records(path: str, fh):
+    """(first physical line number, fields) of each record that is neither
+    blank nor a comment; line numbers count the line breaks in quoted fields."""
     raw: list[str] = []  # the physical lines of the record being read
 
-    def lines(fh):
+    def lines():
         for line in fh:
             raw.append(line)
             yield line
 
     seen = 0
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            for record in csv.reader(lines(fh)):
-                first, number = raw[0], seen + 1
-                seen += len(raw)
-                raw.clear()
-                # a comment starts with an unquoted '#'; a quoted "#a" is an id
-                if first.lstrip().startswith("#") or not "".join(record).strip():
-                    continue
-                rows.append(record)
-                numbers.append(number)
+        for record in csv.reader(lines()):
+            first, number = raw[0], seen + 1
+            seen += len(raw)
+            raw.clear()
+            # a comment starts with an unquoted '#'; a quoted "#a" is an id
+            if "".join(record).strip() and not first.lstrip().startswith("#"):
+                yield number, record
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:  # e.g. a stray quote that swallows the file
         raise DataFormatError(f"{path} line {seen + 1}: {exc}") from None
+
+
+def _read_records(path: str) -> dict[str, np.ndarray | None]:
+    """`read_panel_csv` record by record, naming the first error.
+
+    Each column is cast once; only a failed cast is searched for its first
+    bad field, whose physical line the error names.
+    """
+    rows: list[list[str]] = []
+    numbers = array.array("q")  # each row's first physical line
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        for number, record in _records(path, fh):
+            rows.append(record)
+            numbers.append(number)
     if not rows:
         raise DataFormatError(f"{path}: no header row found")
-    header = [name.strip() for name in rows.pop(0)]
+    header = _header(path, rows.pop(0))
     del numbers[0]
-    unknown = [name for name in header if name not in _CSV_COLUMNS]
-    if unknown:
-        raise DataFormatError(f"{path}: unknown column(s) {unknown}; expected {_CSV_COLUMNS}")
-    if len(set(header)) != len(header):
-        raise DataFormatError(f"{path}: duplicate column names in header")
-    for required in ("cluster", "outcome"):
-        if required not in header:
-            raise DataFormatError(f"{path}: missing required column {required!r}")
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     if set(map(len, rows)) != {len(header)}:
@@ -151,6 +182,20 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
                     ) from None
             raise
     return out
+
+
+def _header(path: str, record: list[str]) -> list[str]:
+    """The header's column names; DataFormatError unless they fit the schema."""
+    header = [name.strip() for name in record]
+    unknown = [name for name in header if name not in _CSV_COLUMNS]
+    if unknown:
+        raise DataFormatError(f"{path}: unknown column(s) {unknown}; expected {_CSV_COLUMNS}")
+    if len(set(header)) != len(header):
+        raise DataFormatError(f"{path}: duplicate column names in header")
+    for required in ("cluster", "outcome"):
+        if required not in header:
+            raise DataFormatError(f"{path}: missing required column {required!r}")
+    return header
 
 
 def _cast(name: str, fields: list[str]) -> np.ndarray:

@@ -120,23 +120,37 @@ def t_statistics(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     effect = treated − mean(controls); s is the controls' sample standard
     deviation (m−1 divisor).  Equal controls have s = 0 exactly, with their
     common value as the mean: t is then signed infinity, or 0 for a zero effect.
+    A row whose squared deviations overflow (spreads above about 1e154) is
+    computed again on its controls divided by a power of two near their
+    largest |value|, so its s stays finite; every other row is left as computed.
     """
     rows = np.asarray(rows, dtype=float)
     controls = rows[:, :-1]
     m = controls.shape[1]
-    mean = controls.sum(axis=1) / m
-    dev = controls - mean[:, None]
-    s = np.sqrt(np.einsum("ij,ij->i", dev, dev) / (m - 1))
-    # equal controls leave s within the rounding of the m-term sum, below 2m·eps·|mean|
-    near = np.flatnonzero(s <= np.abs(mean) * (2.0 * m * _EPS))
-    if near.size:
-        equal = near[(controls[near] == controls[near, :1]).all(axis=1)]
-        s[equal], mean[equal] = 0.0, controls[equal, 0]
-    effect = rows[:, -1] - mean
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mean, s = _mean_and_spread(controls)
+        big = np.flatnonzero(~np.isfinite(s))
+        if big.size:
+            scale = np.ldexp(1.0, np.frexp(np.abs(controls[big]).max(axis=1))[1] - 1)
+            mean_big, s_big = _mean_and_spread(controls[big] / scale[:, None])
+            mean[big], s[big] = mean_big * scale, s_big * scale
+        # equal controls leave s within the rounding of the m-term sum, below 2m·eps·|mean|
+        near = np.flatnonzero(s <= np.abs(mean) * (2.0 * m * _EPS))
+        if near.size:
+            equal = near[(controls[near] == controls[near, :1]).all(axis=1)]
+            s[equal], mean[equal] = 0.0, controls[equal, 0]
+        effect = rows[:, -1] - mean
         t = effect / s
     t[(s == 0.0) & (effect == 0.0)] = 0.0
     return t, effect, s
+
+
+def _mean_and_spread(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means and sample standard deviations (m−1 divisor)."""
+    m = controls.shape[1]
+    mean = controls.sum(axis=1) / m
+    dev = controls - mean[:, None]
+    return mean, np.sqrt(np.einsum("ij,ij->i", dev, dev) / (m - 1))
 
 
 def t_statistic(est: ClusterEstimates) -> tuple[float, float, float]:

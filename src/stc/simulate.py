@@ -35,7 +35,7 @@ import numpy as np
 
 from .critical_values import CriticalValueResult, critical_value
 from .errors import InvalidParameterError, as_integer
-from .inference import t_statistics, t_statistics as t_statistics_from_thetas  # re-export
+from .inference import t_statistics
 from .worstcase import HeterogeneitySpec
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "empirical_rejection_rate",
     "normal_means_t_statistics",
     "twfe_theta_hats",
-    "t_statistics_from_thetas",
 ]
 
 _CHUNK_ROWS = 4096

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stc.cli as cli_mod
 import stc.errors as errors_mod
 from stc.cli import (
+    _CSV_COLUMNS,
     _check_numbers,
     _f6,
     _parse_floats,
     _parse_ints,
+    _read_records,
     main,
     read_panel_csv,
     write_panel_csv,
@@ -451,8 +454,6 @@ def test_design_violation_exit_code(capsys, did_csv):
 
 
 def test_infeasibility_exit_code(capsys, monkeypatch):
-    import stc.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise NoValidCriticalValueError("level unattainable", floor=0.2)
 
@@ -492,8 +493,6 @@ _EXIT_CODES = {
     ids=lambda t: t.__name__,
 )
 def test_every_error_maps_to_its_exit_code(capsys, monkeypatch, exc_type):
-    import stc.cli as cli_mod
-
     def handler(args):
         raise exc_type("boom")
 
@@ -505,8 +504,6 @@ def test_every_error_maps_to_its_exit_code(capsys, monkeypatch, exc_type):
 
 
 def test_programming_errors_are_not_swallowed(monkeypatch):
-    import stc.cli as cli_mod
-
     def handler(args):
         raise KeyError("bug")
 
@@ -723,6 +720,99 @@ def test_write_panel_csv_quotes_rows_with_hash_ids(tmp_path):
     assert cols["cluster"].tolist() == ["#a", "b", "#c"]
     assert cols["time"].tolist() == [1, 2, 3]
     assert cols["outcome"].tolist() == [1.0, 2.5, -3.0]
+
+
+def _field(draw, text: str) -> str:
+    """``text`` as a CSV field, quoted where it must be and sometimes where not."""
+    if any(ch in text for ch in ',"\r\n') or draw(st.booleans()):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+_CELLS = {
+    "cluster": st.text(alphabet='ab ,"\n#', min_size=1, max_size=5),
+    "unit": st.text(alphabet="ab #\t", min_size=1, max_size=3),
+    "time": st.integers(-10**6, 10**6).map(str),
+    "outcome": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    "c": st.sampled_from(["0", "1", " 1 "]),
+}
+_BAD_CELLS = {
+    "cluster": ["", "  "],
+    "unit": [" "],
+    "time": ["1.5", "99999999999999999999", "x", "1_0"],
+    "outcome": ["oops", "nan", "-inf", "1e400", ""],
+    "c": ["7", "-1"],
+}
+# lines that are not rows: comments, blank lines and blank records
+_NON_ROWS = ["", "# note", "  # note", '\t# note, "x"', ",,", '""', "   "]
+
+
+@st.composite
+def _panel_csvs(draw):
+    """Panel CSV text: quoted awkward ids, comments, blank lines and records,
+    an optional byte-order mark, LF or CRLF, and at most one bad field."""
+    header = draw(st.permutations(_CSV_COLUMNS).map(list))
+    header = [name for name in header
+              if name in ("cluster", "outcome") or draw(st.booleans())]
+    rows = draw(st.lists(st.tuples(*(_CELLS[name] for name in header)),
+                         min_size=1, max_size=8))
+    lines = [",".join(header)] + [",".join(_field(draw, cell) for cell in row)
+                                   for row in rows]
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(rows)))
+        j = draw(st.integers(0, len(header) - 1))
+        cells = list(rows[i - 1])
+        cells[j] = draw(st.sampled_from(_BAD_CELLS[header[j]]))
+        lines[i] = ",".join(_field(draw, cell) for cell in cells)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_NON_ROWS)))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_panel_csvs())
+def test_fast_path_and_record_loop_agree(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode())
+    try:
+        fast = read_panel_csv(str(path))
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as slow_exc:
+            _read_records(str(path))
+        assert str(exc) == str(slow_exc.value)
+        return
+    slow = _read_records(str(path))
+    assert fast.keys() == slow.keys()
+    for name, col in slow.items():
+        if col is None:
+            assert fast[name] is None
+        else:
+            assert fast[name].dtype == col.dtype and np.array_equal(fast[name], col)
+
+
+def test_clean_panel_never_reaches_the_record_loop(tmp_path, monkeypatch):
+    # a silent fallback would keep every result and lose the speed
+    rng = np.random.default_rng(16)
+    n = 10_000
+    cluster = np.array([f"c{j}" for j in rng.integers(0, 7, n)])
+    unit = np.array([f"u{j}" for j in rng.integers(0, 300, n)])
+    time, c = rng.integers(1, 11, n), rng.integers(0, 2, n)
+    outcome = rng.normal(size=n)
+    path = str(tmp_path / "clean.csv")
+    write_panel_csv(path, cluster, outcome, time=time, unit=unit, c=c)
+
+    def record_loop(path):
+        raise AssertionError(f"{path} fell back to the record loop")
+
+    monkeypatch.setattr(cli_mod, "_read_records", record_loop)
+    cols = read_panel_csv(path)
+    assert cols["cluster"].tolist() == cluster.tolist()
+    assert cols["unit"].tolist() == unit.tolist()
+    assert cols["time"].dtype == np.int64 and np.array_equal(cols["time"], time)
+    assert cols["c"].dtype == np.int64 and np.array_equal(cols["c"], c)
+    assert cols["outcome"].dtype == np.float64 and np.array_equal(cols["outcome"], outcome)
 
 
 # -------------------------------------------------------------- helpers

@@ -19,6 +19,7 @@ from stc.inference import (
     rho_frontier,
     run_test,
     t_statistic,
+    t_statistics,
 )
 from stc.simulate import empirical_rejection_rate
 from stc.worstcase import HeterogeneitySpec, p_max
@@ -193,6 +194,23 @@ def test_equal_controls_have_exactly_zero_spread(value):
         less = run_test(est, spec, alpha=0.05, sided=Sided.ONE_SIDED_LESS)
         assert less.degenerate and not less.reject and less.p_value == 1.0
         assert less.ci == point
+
+
+def test_huge_spreads_do_not_overflow_the_t_statistic():
+    # squared deviations above about 1e308 used to give s = inf and t = 0
+    assert t_statistic(ClusterEstimates([0.0, 1e200, -1e200], 5e200)) == (5.0, 5e200, 1e200)
+    assert t_statistic(ClusterEstimates([0.0, 1e160, -1e160], 1e160)) == (1.0, 1e160, 1e160)
+    est = ClusterEstimates(np.full(7, 1e300), 2e300)
+    assert t_statistic(est) == (math.inf, 1e300, 0.0)
+    report = run_test(est, HeterogeneitySpec(m=7, k=1, rho=1.0), alpha=0.05)
+    assert report.degenerate and report.control_sd == 0.0
+    assert report.reject and report.p_value == 0.0
+    # ordinary rows beside an overflowing one keep their bits
+    rows = np.array([[1.0, 2.0, 4.0, 3.0], [0.0, 1e200, -1e200, 5e200], [0.1, 0.2, 0.7, -1.0]])
+    t, effect, s = t_statistics(rows)
+    for i in (0, 2):
+        assert (t[i], effect[i], s[i]) == tuple(x[0] for x in t_statistics(rows[i:i + 1]))
+    assert (t[1], effect[1], s[1]) == (5.0, 5e200, 1e200)
 
 
 def test_sided_must_be_a_sided():

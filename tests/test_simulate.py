@@ -7,7 +7,7 @@ import pytest
 from stc.critical_values import critical_value
 from stc.designs import DesignKind, PanelData, extract
 from stc.errors import InvalidParameterError
-from stc.inference import ClusterEstimates, t_statistic
+from stc.inference import ClusterEstimates, t_statistic, t_statistics
 from stc.simulate import (
     MCConfig,
     MCResult,
@@ -16,7 +16,6 @@ from stc.simulate import (
     empirical_rejection_rate,
     normal_means_t_statistics,
     run,
-    t_statistics_from_thetas,
     twfe_theta_hats,
 )
 from stc.simulate import (  # white-box checks
@@ -90,13 +89,13 @@ def test_design_parameterizations():
 
 
 def test_t_statistics_degenerate_rows():
-    t, _, _ = t_statistics_from_thetas(
+    t, _, _ = t_statistics(
         np.array([[1.0, 1.0, 1.0, 4.0], [2.0, 2.0, 2.0, 2.0], [0.0, 2.0, 4.0, 2.0]])
     )
     assert t[0] == math.inf
     assert t[1] == 0.0
     assert t[2] == 0.0
-    t, _, _ = t_statistics_from_thetas(np.array([[1.0, 1.0, 1.0, -4.0], [0.0, 1.0, 2.0, 3.0]]))
+    t, _, _ = t_statistics(np.array([[1.0, 1.0, 1.0, -4.0], [0.0, 1.0, 2.0, 3.0]]))
     assert t[0] == -math.inf
     assert t[1] == pytest.approx(2.0)
 
@@ -111,7 +110,7 @@ def test_each_draws_t_is_the_full_tests_t():
         t = normal_means_t_statistics(sigmas, 0.4, reps=150, seed=m)
         thetas = _normal_means_thetas(150, _chunk_generator(m, 0), sigmas, 0.4)
         hats = twfe_theta_hats(TwfeDesign(dgp=4, m=m, sigma=2.0), reps=40, seed=m)
-        pairs = list(zip(thetas, t)) + list(zip(hats, t_statistics_from_thetas(hats)[0]))
+        pairs = list(zip(thetas, t)) + list(zip(hats, t_statistics(hats)[0]))
         for row, mc_t in pairs:
             assert t_statistic(ClusterEstimates(row[:-1], row[-1]))[0] == mc_t
         draws += len(pairs)
