@@ -214,33 +214,47 @@ def _cast(name: str, fields: list[str]) -> np.ndarray:
     return col
 
 
+def _csv_field(text: str, force: bool = False) -> str:
+    """``text`` as a CSV field: quoted, with quotes doubled, when it holds a
+    comma, a quote or a line break, or when ``force`` is set."""
+    if force or any(ch in text for ch in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_panel_csv(path: str, cluster, outcome, time=None, unit=None, c=None) -> None:
     """Write columns in the canonical header order, omitting absent ones.
 
     Ids holding commas, quotes or line breaks are quoted, and so is every
     field of a row whose cluster id starts with '#', which would otherwise
-    read as a comment line.  An id that ``read_panel_csv`` would read
-    differently (empty or padded with spaces) raises InvalidParameterError
-    instead of writing a file that reads back wrong.
+    read as a comment line; that is csv.writer's quoting, except that a bare
+    carriage return is quoted too, so that it reads back.  An id that
+    ``read_panel_csv`` would read differently (empty or padded with spaces)
+    raises InvalidParameterError instead of writing a file that reads back
+    wrong.
     """
     named = [("cluster", cluster), ("unit", unit), ("time", time),
              ("outcome", outcome), ("c", c)]
     present = [(name, np.asarray(col)) for name, col in named if col is not None]
-    for name, col in present:
+    # str of a Python float is its shortest round-trip repr
+    raw = [list(map(str, col.tolist())) for _, col in present]
+    fields = list(raw)
+    for k, (name, col) in enumerate(present):
         if name in ("cluster", "unit"):
             ids = col.astype(str)
             bad = (ids == "") | (np.char.strip(ids) != ids)
             if bad.any():
                 raise InvalidParameterError(
                     f"{name} id {str(ids[np.argmax(bad)])!r} would not read back from the CSV")
-    # str of a Python float is its shortest round-trip repr
-    columns = [map(str, col.tolist()) for _, col in present]
+            shown = {text: _csv_field(text) for text in set(raw[k])}
+            fields[k] = [shown[text] for text in raw[k]]
+    lines = list(map(",".join, zip(*fields)))
+    if any(text.startswith("#") for text in set(raw[0])):
+        for i, text in enumerate(raw[0]):
+            if text.startswith("#"):
+                lines[i] = ",".join(_csv_field(col[i], force=True) for col in raw)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        plain = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        plain.writerow(name for name, _ in present)
-        for row in zip(*columns):
-            (quoted if row[0].startswith("#") else plain).writerow(row)
+        fh.write("\n".join([",".join(name for name, _ in present), *lines]) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -215,7 +214,7 @@ class CriticalValueResult:
 
 
 def _closed_form_k1(m: int, alpha: float, rho: float) -> float:
-    return math.sqrt(rho * rho + 1.0 / m) * float(t_quantile(m - 1, 1.0 - alpha / 2.0))
+    return -math.sqrt(rho * rho + 1.0 / m) * float(t_quantile(m - 1, alpha / 2.0))
 
 
 def critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalValueResult:
@@ -254,7 +253,7 @@ def critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalVal
         cv, iterations = 1.0 / math.sqrt(m) + 1e-6, 0
         # at the lowest admissible threshold the level may already be attained
         if p_at(cv).value > alpha:
-            guess = math.sqrt(m / (m - k + 1.0)) * rho * float(normal_quantile(1.0 - alpha / 2.0))
+            guess = -math.sqrt(m / (m - k + 1.0)) * rho * float(normal_quantile(alpha / 2.0))
             hi = 2.0 * (guess + _closed_form_k1(m, alpha, max(rho, 0.0)) + 1.0)
             found = _certified_first_true(
                 p_at, lambda c, branch: _branch_value(m, c, spec, branch),
@@ -348,6 +347,9 @@ def generate_table(
         for m in ms
     ]
     if workers is not None and workers > 1:
+        # imported here: loading the process-pool machinery costs every start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_table_cell, jobs, chunksize=1))
     else:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import t_two_sided_tail
+from .distributions import _largest_tail
 from .errors import InvalidParameterError, as_integer
 from .rejection import DEFAULT_SETTINGS, QuadratureSettings, _tails_for_gamma_rows
 
@@ -161,9 +161,8 @@ def _p_zero_treated_detail(m: int, c: float) -> tuple[float, int]:
     gap = m * (m - 1.0) / (m * c * c + m - 1.0)  # m - r, which rounds to 0 at large c
     j = np.arange(m - math.ceil(gap) + 1, m + 1)  # the j > r
     thresholds = np.sqrt((j - 1) * r / ((j - m) + gap))
-    tails = np.atleast_1d(t_two_sided_tail(j - 1, thresholds))
-    best = int(np.argmax(tails))
-    return float(tails[best]), int(j[best])
+    value, best = _largest_tail(j - 1, thresholds)
+    return value, int(j[best])
 
 
 def p_zero_treated(m: int, c: float) -> float:

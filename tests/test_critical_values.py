@@ -104,7 +104,7 @@ def test_critical_value_exhaustion_reports_the_floor(monkeypatch):
 def _plain_cv(m, alpha, spec):
     """Doubling then bisection on p_max itself, from critical_value's bracket."""
     lo = 1.0 / math.sqrt(m) + 1e-6
-    guess = math.sqrt(m / (m - spec.k + 1.0)) * spec.rho * float(normal_quantile(1.0 - alpha / 2.0))
+    guess = -math.sqrt(m / (m - spec.k + 1.0)) * spec.rho * float(normal_quantile(alpha / 2.0))
     hi = 2.0 * (guess + _closed_form_k1(m, alpha, spec.rho) + 1.0)
 
     def attains(c):
@@ -228,6 +228,16 @@ def test_alpha_underline_full_reference_grid():
 
 
 # ------------------------------------------------------- critical_value
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 1e-17])
+def test_tiny_levels_keep_their_size(alpha):
+    # the closed form inverts the tail alpha/2 itself: through 1 - alpha/2 it
+    # over-rejected by 8.9e-5 (relative) at 1e-12 and refused 1e-17
+    res = critical_value(10, alpha, _spec(10, 1, 1.0))
+    assert res.method == "ClosedFormK1"
+    assert abs(res.worst_case.value / alpha - 1.0) <= 1e-9
+    assert res.cv == pytest.approx(-math.sqrt(1.1) * t_quantile(9, alpha / 2), rel=1e-15)
 
 
 def test_closed_form_k1_path():

@@ -1,6 +1,7 @@
 """Student-t / normal tails and quantiles: pinned values and round trips."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
@@ -9,6 +10,7 @@ from stc.distributions import (
     _MAX_DOF,
     _as_float,
     _checked_dof,
+    _largest_tail,
     normal_cdf,
     normal_quantile,
     t_quantile,
@@ -116,3 +118,102 @@ def test_invalid_inputs_rejected():
         normal_quantile(1.5)
     with pytest.raises(InvalidParameterError):
         t_two_sided_tail(3, -0.5)
+
+
+# ------------------------------------------------ a 40-digit mpmath oracle
+
+_ORACLE_DOFS = (1, 2, 3, 5, 9, 24, 49, 99, 199, 1000, 10**4, 10**5, 10**6)
+
+
+def _exact_tail(dof, c):
+    """P(|t_dof| > c) at 40 digits, each side of the continued fraction's switch."""
+    with mp.workdps(40):
+        v, c, half = mp.mpf(dof), mp.mpf(c), mp.mpf(1) / 2
+        if v * (v / 2 + 2.5) > (v / 2 + 1) * (v + c * c):  # mpmath's series is slow above it
+            return 1 - mp.betainc(half, v / 2, 0, c * c / (v + c * c), regularized=True)
+        return mp.betainc(v / 2, half, 0, v / (v + c * c), regularized=True)
+
+
+def _relative_error(got, exact) -> float:
+    return float(abs((mp.mpf(got) - exact) / exact))
+
+
+def test_tail_matches_a_40_digit_oracle():
+    # thresholds 1e-3 ... 1e30 a quarter decade apart, tails down to 1e-300
+    cs = 10.0 ** np.arange(-3.0, 30.01, 0.25)
+    worst = {}
+    for dof in _ORACLE_DOFS:
+        worst[dof] = max(_relative_error(g, _exact_tail(dof, c))
+                         for c, g in zip(cs, t_two_sided_tail(dof, cs)) if g >= 1e-300)
+    # scipy's betainc: 1.1e-11 at (1000, 1e-3) and 8.8e-9 at (1e6, 1e-3)
+    assert max(worst.values()) <= 1e-13, worst
+
+
+def test_t_quantile_matches_the_oracle():
+    ps = [0.55, 0.6, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999] + [1 - 10.0**-e for e in (4, 6, 8, 10, 12)]
+    worst = 0.0
+    for dof in _ORACLE_DOFS[:10]:  # dof <= 1000
+        for p in ps:
+            # the upper quantile, and the lower one at the same (exact) tail
+            for q, tail in ((t_quantile(dof, p), 1 - p), (-t_quantile(dof, 1 - p), 1 - p)):
+                with mp.workdps(40):
+                    exact = mp.findroot(lambda x: _exact_tail(dof, x) - 2 * mp.mpf(tail), mp.mpf(q))
+                worst = max(worst, _relative_error(q, exact))
+    assert worst <= 2e-14
+
+
+def test_normal_functions_match_the_oracle():
+    with mp.workdps(40):
+        cdf_error = max(_relative_error(normal_cdf(x), mp.ncdf(x)) for x in np.arange(-37.0, 8.0, 0.37))
+        ps = [1e-300, 1e-200, 1e-100, 1e-20, 1e-10, 1e-5, 0.01, 0.1, 0.3, 0.45, 0.55, 0.9, 1 - 1e-12]
+        quantile_error = max(_relative_error(normal_quantile(p), mp.findroot(
+            lambda z: mp.ncdf(z) - mp.mpf(p), normal_quantile(p))) for p in ps)
+    assert cdf_error <= 2e-13  # erfc of a rounded x/sqrt 2, as scipy's ndtr
+    assert quantile_error <= 4e-15
+
+
+def test_tiny_lower_tails_keep_their_digits():
+    # a lower-tail p inverts directly; reflecting it through 1 - p rounded
+    # 1 - 1e-20 to 1 and returned -inf
+    assert normal_quantile(1e-20) == pytest.approx(-9.262340089798408, rel=1e-14)
+    assert t_quantile(5, 1e-20) == pytest.approx(-15683.925454365, rel=1e-12)
+    assert t_two_sided_tail(5, -t_quantile(5, 1e-20)) == pytest.approx(2e-20, rel=1e-12)
+    assert math.isfinite(normal_quantile(5e-324)) and math.isfinite(t_quantile(3, 5e-324))
+
+
+def test_a_tail_does_not_depend_on_its_batch():
+    # up to 24 tails go element by element, more through arrays: the
+    # two round alike, also for dof 1, 2 and 4, whose exponents 0.5, 1 and 2
+    # numpy takes by other ops when both operands are scalars
+    rng = np.random.default_rng(17)
+    dofs = np.concatenate([[1, 2, 4, 3, 2 * 10**6, 1], np.repeat([1, 2, 4], 40), rng.integers(1, 300, 60)])
+    cs = np.concatenate([[0.0, 30.0, 1e6, 1e-3, 2.5, 1e200], 10.0 ** rng.uniform(0.5, 3, 120),
+                         10.0 ** rng.uniform(-2, 3, 60)])
+    batch = t_two_sided_tail(dofs, cs)
+    singles = [t_two_sided_tail(int(v), float(c)) for v, c in zip(dofs, cs)]
+    pairs = [t_two_sided_tail(dofs[i:i + 2], cs[i:i + 2]) for i in range(0, len(cs), 2)]
+    assert batch.tolist() == singles == np.concatenate(pairs).tolist()
+    # past one array chunk too
+    assert t_two_sided_tail(np.resize(dofs, 5000), np.resize(cs, 5000)).tolist() == np.resize(batch, 5000).tolist()
+
+
+def test_largest_tail_is_the_argmax_of_every_tail():
+    # the bounds skip most tails but never the largest, nor change its bits
+    rng = np.random.default_rng(7)
+    for size in (1, 3, 30, 300):
+        dofs = rng.integers(1, 400, size).astype(float)
+        dofs[rng.random(size) < 0.1] = 2e6  # normal tails, never skipped
+        cs = 10.0 ** rng.uniform(-1.5, 2, size)
+        tails = t_two_sided_tail(dofs, cs)
+        best = int(np.argmax(tails))
+        assert _largest_tail(dofs, cs) == (tails[best], best)
+    # the threshold sets of p_zero_treated, where the tails lie close together
+    for m, c in ((25, 0.2000001), (25, 0.5), (200, 0.2), (200, 0.5), (200, 2.0)):
+        r, gap = m * m * c * c / (m * c * c + m - 1.0), m * (m - 1.0) / (m * c * c + m - 1.0)
+        j = np.arange(m - math.ceil(gap) + 1, m + 1)
+        dofs, cs = j - 1.0, np.sqrt((j - 1) * r / ((j - m) + gap))
+        tails = t_two_sided_tail(dofs, cs)
+        best = int(np.argmax(tails))
+        assert _largest_tail(dofs, cs) == (tails[best], best)
+    # equal tails: the first one
+    assert _largest_tail(np.array([5.0, 5.0]), np.array([2.0, 2.0])) == (t_two_sided_tail(5, 2.0), 0)

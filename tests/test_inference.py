@@ -401,11 +401,13 @@ def test_power_lower_bound_via_monte_carlo():
 def test_large_m_power_at_null_is_alpha():
     # with the treated SD on the feasibility boundary the approximation is
     # exact at delta = 0
-    m, rho, alpha = 40, 1.5, 0.05
+    m, rho = 40, 1.5
     sig = np.full(m, 0.8)
     sigma_treated = rho * 0.8
-    got = large_m_approx_power(1e-300, sigma_treated, sig, m, k=1, rho=rho, alpha=alpha)
-    assert got == pytest.approx(alpha, rel=1e-9)
+    # tiny levels too: both tails are taken directly, not as 1 - cdf
+    for alpha in (0.05, 1e-12, 1e-20):
+        got = large_m_approx_power(1e-300, sigma_treated, sig, m, k=1, rho=rho, alpha=alpha)
+        assert got == pytest.approx(alpha, rel=1e-9)
 
 
 def test_large_m_power_monotone():

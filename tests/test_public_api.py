@@ -1,6 +1,10 @@
 """Every name the package and its modules export resolves."""
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 
@@ -116,3 +120,17 @@ def test_inversion_p_max_calls_go_through_the_module_seams(monkeypatch):
     frontier = stc.rho_frontier(est, 0.05)
     assert cv_calls == [] and len(frontier_calls) >= 2 * len(frontier.bounds)
     assert all(stop == 0.05 for _, stop in frontier_calls)
+
+
+def test_import_loads_neither_scipy_nor_the_process_pool():
+    # every stc invocation pays for what `import stc` loads, and
+    # scipy.special was most of it
+    code = ("import sys, stc, stc.cli; "
+            "stc.critical_value(10, 0.05, stc.HeterogeneitySpec(10, 1, 1.0)); "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+            " or m == 'concurrent.futures.process'))")
+    src = str(pathlib.Path(stc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
