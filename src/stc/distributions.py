@@ -158,7 +158,8 @@ def _tail_scalar(v: float, c: float) -> tuple[float, float]:
     x, x1 = v / (v + c2), 1.0 / (1.0 + v / c2)  # x and 1 - x
     log_beta = _LOG_BETA_SMALL[int(v)] if v < _SERIES_DOF else float(_log_beta_series(a))
     if c2 > _POW_FROM * v:
-        front = float(np.power(x, [a])[0] * np.sqrt(x1) * np.exp(-log_beta))
+        base, power = (math.sqrt(v) / c, v) if c2 == math.inf else (x, a)
+        front = float(np.power(base, [power])[0] * np.sqrt(x1) * np.exp(-log_beta))
     else:
         front = float(np.exp(-(a * np.log1p(c2 / v) + 0.5 * np.log1p(v / c2)) - log_beta))
     symmetric = c2 * (a + 1.0) < 1.5 * v  # x above (a+1)/(a+2.5)
@@ -168,24 +169,29 @@ def _tail_scalar(v: float, c: float) -> tuple[float, float]:
 
 
 def _prefactor_array(v: np.ndarray, c: np.ndarray):
-    """(a, c^2, x, 1 - x, prefactor) of `_tail_scalar` on 1-D arrays of dof
-    <= _MAX_DOF and thresholds."""
+    """(a, c^2, x, 1 - x, prefactor, log prefactor) of `_tail_scalar` on 1-D
+    arrays of dof <= _MAX_DOF and thresholds.  Where c^2 overflows, x^a is
+    (sqrt(v)/c)^v and log x is log v - 2 log c."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # c = 0 or c^2 = inf
         a, c2 = 0.5 * v, c * c
         x, x1 = v / (v + c2), 1.0 / (1.0 + v / c2)
         series = v >= _SERIES_DOF
         log_beta = np.where(series, _log_beta_series(np.maximum(a, 0.5 * _SERIES_DOF)),
                             _LOG_BETA_SMALL[np.where(series, 0, v).astype(np.intp)])
-        front = np.where(c2 > _POW_FROM * v, np.power(x, a) * np.sqrt(x1) * np.exp(-log_beta),
-                         np.exp(-(a * np.log1p(c2 / v) + 0.5 * np.log1p(v / c2)) - log_beta))
-    return a, c2, x, x1, front
+        huge = c2 == np.inf
+        log_front = np.where(huge, a * (np.log(v) - 2.0 * np.log(c)), -a * np.log1p(c2 / v)) \
+            - 0.5 * np.log1p(v / c2) - log_beta
+        front = np.where(c2 > _POW_FROM * v, np.power(np.where(huge, np.sqrt(v) / c, x), np.where(huge, v, a))
+                         * np.sqrt(x1) * np.exp(-log_beta), np.exp(log_front))
+    return a, c2, x, x1, front, log_front
 
 
 def _tail_array(v: np.ndarray, c: np.ndarray) -> np.ndarray:
     """`_tail_scalar`'s tail on 1-D arrays of dof <= _MAX_DOF and thresholds."""
-    a, c2, x, x1, front = _prefactor_array(v, c)
+    a, c2, x, x1, front, _ = _prefactor_array(v, c)
     tail = np.empty_like(c)
-    symmetric = c2 * (a + 1.0) < 1.5 * v
+    with np.errstate(over="ignore"):  # c^2 (a + 1) = inf is not symmetric
+        symmetric = c2 * (a + 1.0) < 1.5 * v
     for form, is_symmetric in ((~symmetric, False), (symmetric, True)):
         if form.any():
             p, q, y, y1, w = _cf_args(v[form], a[form], c2[form], x[form], x1[form], is_symmetric)
@@ -281,20 +287,24 @@ def _largest_tail(dof: np.ndarray, threshold: np.ndarray) -> tuple[float, int]:
     [rho, 1) with rho = (a+1/2)/(a+1); so prefactor/(a(1 - rho x)) <= tail
     <= prefactor/(a(1 - x)).  In the symmetric form the tail is 1 minus
     twice the prefactor times a series of positive terms, 1 + (2a+1)(1-x)/3
-    + ..., which bounds it from above too.  A tail whose upper bound is
-    below the largest lower bound is skipped."""
+    + ..., which bounds it from above too.  The bounds are compared as
+    logarithms, which order the tails even where every prefactor underflows;
+    a tail whose upper bound is below the largest lower bound is skipped.
+    When the largest tail evaluates to 0, every tail does, and the first is
+    the argmax."""
     v, c = (np.asarray(arr, dtype=np.float64) for arr in (dof, threshold))
     idx = np.arange(v.size)
     if v.size > 1:
         normal = v > _MAX_DOF  # no bounds: always evaluated
-        a, _, x, x1, front = _prefactor_array(np.where(normal, 1.0, v), c)
+        a, _, x, x1, front, log_front = _prefactor_array(np.where(normal, 1.0, v), c)
         with np.errstate(divide="ignore", invalid="ignore"):  # x1 = 0, or nan: evaluated
-            lower = np.where(normal, 0.0, front * (a + 1.0) / (a * ((a + 1.0) * x1 + 0.5 * x)))
-            upper = np.minimum(front / (a * x1), 1.0 - 2.0 * front * (1.0 + (2.0 * a + 1.0) / 3.0 * x1) + 1e-15)
-            idx = idx[normal | ~(upper * (1.0 + 1e-9) < lower.max())]
+            lower = np.where(normal, -np.inf, log_front + np.log((a + 1.0) / (a * ((a + 1.0) * x1 + 0.5 * x))))
+            upper = np.minimum(log_front - np.log(a * x1),
+                               np.log(1.0 - 2.0 * front * (1.0 + (2.0 * a + 1.0) / 3.0 * x1) + 1e-15))
+            idx = idx[normal | ~(upper + 1e-9 < lower.max())]
     tails = _tails(v[idx], c[idx])
     best = int(np.argmax(tails))
-    return float(tails[best]), int(idx[best])
+    return (0.0, 0) if tails[best] == 0.0 else (float(tails[best]), int(idx[best]))
 
 
 def _t_quantile_upper(v: float, tail: float) -> float:

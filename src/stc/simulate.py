@@ -17,7 +17,11 @@ Two families of data-generating processes are provided:
 Randomness is counter-based: replication r reads from a Philox stream
 keyed by (seed, r // chunk), at a fixed offset within the chunk, so every
 replication's variates are a pure function of (seed, r) — independent of
-chunk evaluation order, total replication count, and worker count.
+chunk evaluation order, total replication count, and thread count.
+The chunks run on as many threads as the process has cores (one core runs
+them in a plain loop); there is no setting for this, and every thread count
+gives the same bits.  `run` holds O(threads x chunk) draws plus its
+(reps,) array of t statistics.
 Normal variates come from numpy's Ziggurat sampler; the chi-square(2)
 innovations are built from two squared normals normalized to mean 0 and
 variance 1, and the uniforms by an affine map of standard uniforms.
@@ -29,6 +33,7 @@ this matches the stationary variance, not the full stationary law.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,9 +190,35 @@ def _chunks(reps: int):
         yield chunk, rows
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fill_chunks(out: np.ndarray, chunk_rows) -> np.ndarray:
+    """``out`` with the rows of each chunk set to chunk_rows(chunk, rows), on
+    one thread per core.  Each chunk writes only its own rows, and its numpy
+    work (Philox fills, the product, ufuncs) releases the GIL, so the bits do
+    not depend on the thread count.  The first exception, in chunk order,
+    propagates once the running chunks finish; the rest are cancelled."""
+    def fill(chunk, rows):
+        out[chunk * _CHUNK_ROWS:chunk * _CHUNK_ROWS + rows] = chunk_rows(chunk, rows)
+
+    chunks, rows = zip(*_chunks(len(out)))
+    threads = min(_cores(), len(chunks))
+    if threads == 1:
+        list(map(fill, chunks, rows))
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        list(pool.map(fill, chunks, rows))
+    return out
+
+
 def _normal_means_thetas(rows: int, rng: np.random.Generator,
                          sigmas: np.ndarray, delta: float) -> np.ndarray:
-    thetas = rng.standard_normal((_CHUNK_ROWS, sigmas.size))[:rows]
+    thetas = rng.standard_normal((rows, sigmas.size))
     thetas *= sigmas
     thetas[:, -1] += delta
     return thetas
@@ -211,22 +242,17 @@ def normal_means_t_statistics(
     if not math.isfinite(delta):
         raise InvalidParameterError(f"delta must be finite, got {delta!r}")
     reps, seed = as_integer("reps", reps, 1), as_integer("seed", seed)
-    out = np.empty(reps)
-    for chunk, rows in _chunks(reps):
-        rng = _chunk_generator(seed, chunk)
-        thetas = _normal_means_thetas(rows, rng, sigmas, delta)
-        out[chunk * _CHUNK_ROWS:chunk * _CHUNK_ROWS + rows] = t_statistics(thetas)[0]
-    return out
+    return _fill_chunks(np.empty(reps), lambda chunk, rows: t_statistics(
+        _normal_means_thetas(rows, _chunk_generator(seed, chunk), sigmas, delta))[0])
 
 
-def _twfe_draws(design: TwfeDesign, rng: np.random.Generator) -> np.ndarray:
-    """A chunk's raw variates: normals, normal pairs (dgp 4) or uniforms (dgp 5)."""
-    shape = (_CHUNK_ROWS, design.m + 1, design.periods + 1)
-    if design.dgp == 4:
-        return rng.standard_normal(shape + (2,))
-    if design.dgp == 5:
-        return rng.random(shape)
-    return rng.standard_normal(shape)
+def _twfe_draws(design: TwfeDesign, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """A chunk's raw variates: normals, normal pairs (dgp 4) or uniforms
+    (dgp 5), drawn for its first ``rows`` rows; the other rows are zero."""
+    draws = np.empty((_CHUNK_ROWS, design.m + 1, design.periods + 1) + ((2,) if design.dgp == 4 else ()))
+    draws[rows:] = 0.0
+    (rng.random if design.dgp == 5 else rng.standard_normal)(out=draws[:rows])
+    return draws
 
 
 def _ar1_levels(v: np.ndarray, eta: float) -> np.ndarray:
@@ -245,7 +271,7 @@ def _twfe_outcomes(design: TwfeDesign, rows: int, rng: np.random.Generator) -> n
     This defines the panel DGP; ``twfe_theta_hats`` reads the same draws
     through ``_twfe_linear_map`` instead of building the panel.
     """
-    v = _twfe_draws(design, rng)[:rows]
+    v = _twfe_draws(design, rows, rng)[:rows]
     if design.dgp == 4:
         v = (np.square(v).sum(axis=-1) - 2.0) / 2.0
     elif design.dgp == 5:
@@ -288,26 +314,35 @@ def twfe_theta_hats(design: TwfeDesign, reps: int, seed: int) -> np.ndarray:
     of the full ``_twfe_outcomes`` panels drawn from the same stream.
     """
     reps, seed = as_integer("reps", reps, 1), as_integer("seed", seed)
+    return _fill_chunks(np.empty((reps, design.m + 1)), _twfe_chunk_thetas(design, seed))
+
+
+def _twfe_chunk_thetas(design: TwfeDesign, seed: int):
+    """chunk_thetas(chunk, rows): a chunk's (rows, m+1) estimates.  The
+    product runs on a full chunk, the unused rows zero, because BLAS blocks
+    a product's rows by its length: so each row keeps a full chunk's bits."""
     weights, offset = _twfe_linear_map(design)
-    out = np.empty((reps, design.m + 1))
-    for chunk, rows in _chunks(reps):
-        draws = _twfe_draws(design, _chunk_generator(seed, chunk))
+
+    def chunk_thetas(chunk, rows):
+        draws = _twfe_draws(design, rows, _chunk_generator(seed, chunk))
         if design.dgp == 4:
             np.square(draws, out=draws)
-        theta = draws.reshape(-1, weights.size) @ weights
+        theta = (draws.reshape(-1, weights.size) @ weights).reshape(_CHUNK_ROWS, -1)[:rows]
         theta += offset
-        out[chunk * _CHUNK_ROWS:chunk * _CHUNK_ROWS + rows] = theta.reshape(_CHUNK_ROWS, -1)[:rows]
-    out[:, -1] *= design.sigma
-    out[:, -1] += design.theta
-    return out
+        theta[:, -1] *= design.sigma
+        theta[:, -1] += design.theta
+        return theta
+
+    return chunk_thetas
 
 
 def _design_t_statistics(design, reps: int, seed: int) -> np.ndarray:
     if isinstance(design, NormalMeansDesign):
         sigmas = np.append(design.control_sigmas(), design.rho)
         return normal_means_t_statistics(sigmas, design.delta, reps, seed)
-    if isinstance(design, TwfeDesign):
-        return t_statistics(twfe_theta_hats(design, reps, seed))[0]
+    if isinstance(design, TwfeDesign):  # t statistics chunk by chunk: no (reps, m+1) array
+        thetas = _twfe_chunk_thetas(design, seed)
+        return _fill_chunks(np.empty(reps), lambda chunk, rows: t_statistics(thetas(chunk, rows))[0])
     raise InvalidParameterError(f"unknown design: {design!r}")
 
 

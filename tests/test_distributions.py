@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy import special
 
+from stc import distributions
 from stc.distributions import (
     _MAX_DOF,
     _as_float,
     _checked_dof,
     _largest_tail,
+    _tails as tails_of,
     normal_cdf,
     normal_quantile,
     t_quantile,
@@ -197,7 +199,38 @@ def test_a_tail_does_not_depend_on_its_batch():
     assert t_two_sided_tail(np.resize(dofs, 5000), np.resize(cs, 5000)).tolist() == np.resize(batch, 5000).tolist()
 
 
-def test_largest_tail_is_the_argmax_of_every_tail():
+def test_low_dof_tails_survive_an_overflowing_square():
+    # c^2 overflows above about 1.3e154, where the dof 1 and 2 tails are
+    # (2/pi) atan(1/c) ~ 0.64/c and 1 - c/sqrt(c^2+2) ~ 1/c^2, not 0
+    def oracle(v, c):
+        c = mp.mpf(c)
+        if v == 1:
+            return 2 / mp.pi * mp.atan(1 / c)
+        s = mp.sqrt(1 + 2 / c**2)
+        return 2 / (c * c * s * (s + 1))
+
+    cs = np.concatenate([10.0 ** np.arange(0.0, 300.1, 0.5), np.geomspace(6e153, 2e154, 21)])
+    with mp.workdps(40):
+        for v in (1, 2):
+            batch = t_two_sided_tail(np.full(cs.size, v), cs)
+            for c, got in zip(cs, batch):
+                want = oracle(v, c)
+                assert t_two_sided_tail(v, float(c)) == got
+                if want > 2.3e-308:
+                    assert abs(got - want) <= 1e-14 * want, (v, c)
+                else:  # subnormal or below
+                    assert abs(got - want) <= 1e-320, (v, c)
+    assert t_two_sided_tail(1, 1e200) == pytest.approx(2 / (math.pi * 1e200), rel=1e-15)
+
+
+def p_zero_treated_thresholds(m, c):
+    """(dofs, thresholds) of the tails `p_zero_treated(m, c)` maximizes."""
+    r, gap = m * m * c * c / (m * c * c + m - 1.0), m * (m - 1.0) / (m * c * c + m - 1.0)
+    j = np.arange(m - math.ceil(gap) + 1, m + 1)
+    return j - 1.0, np.sqrt((j - 1) * r / ((j - m) + gap))
+
+
+def test_largest_tail_is_the_argmax_of_every_tail(monkeypatch):
     # the bounds skip most tails but never the largest, nor change its bits
     rng = np.random.default_rng(7)
     for size in (1, 3, 30, 300):
@@ -209,11 +242,20 @@ def test_largest_tail_is_the_argmax_of_every_tail():
         assert _largest_tail(dofs, cs) == (tails[best], best)
     # the threshold sets of p_zero_treated, where the tails lie close together
     for m, c in ((25, 0.2000001), (25, 0.5), (200, 0.2), (200, 0.5), (200, 2.0)):
-        r, gap = m * m * c * c / (m * c * c + m - 1.0), m * (m - 1.0) / (m * c * c + m - 1.0)
-        j = np.arange(m - math.ceil(gap) + 1, m + 1)
-        dofs, cs = j - 1.0, np.sqrt((j - 1) * r / ((j - m) + gap))
+        dofs, cs = p_zero_treated_thresholds(m, c)
         tails = t_two_sided_tail(dofs, cs)
         best = int(np.argmax(tails))
         assert _largest_tail(dofs, cs) == (tails[best], best)
+    # m = 1000, where the bounds compare as logarithms: at c = 2 every
+    # prefactor underflows, and one tail stands for all 200 zeros
+    for c in (0.05, 0.1, 0.5, 1.0, 2.0):
+        dofs, cs = p_zero_treated_thresholds(1000, c)
+        tails = t_two_sided_tail(dofs, cs)
+        best = int(np.argmax(tails))
+        assert _largest_tail(dofs, cs) == (tails[best], best)
+    evaluated = []
+    monkeypatch.setattr(distributions, "_tails", lambda v, c: evaluated.append(v.size) or tails_of(v, c))
+    assert _largest_tail(*p_zero_treated_thresholds(1000, 2.0)) == (0.0, 0)
+    assert evaluated == [1]
     # equal tails: the first one
     assert _largest_tail(np.array([5.0, 5.0]), np.array([2.0, 2.0])) == (t_two_sided_tail(5, 2.0), 0)

@@ -1,9 +1,11 @@
 """Monte Carlo harness: determinism, extractor agreement, size and power."""
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from stc import simulate
 from stc.critical_values import critical_value
 from stc.designs import DesignKind, PanelData, extract
 from stc.errors import InvalidParameterError
@@ -22,6 +24,7 @@ from stc.simulate import (  # white-box checks
     _CHUNK_ROWS,
     _chunk_generator,
     _normal_means_thetas,
+    _twfe_draws,
     _twfe_outcomes,
 )
 from stc.worstcase import HeterogeneitySpec, p_max
@@ -155,6 +158,75 @@ def test_twfe_prefix_property():
     short = twfe_theta_hats(design, reps=4100, seed=9)
     longer = twfe_theta_hats(design, reps=8200, seed=9)
     assert np.array_equal(longer[:4100], short)
+
+
+def test_a_short_chunk_draws_a_full_chunks_first_rows():
+    # Philox fills are sequential: 577 rows are the first 577 of 4,096
+    rows = 577
+    for dgp in (1, 4, 5):
+        design = TwfeDesign(dgp=dgp, m=10)
+        full = _twfe_draws(design, _CHUNK_ROWS, _chunk_generator(8, 3))
+        short = _twfe_draws(design, rows, _chunk_generator(8, 3))
+        assert np.array_equal(short[:rows], full[:rows]) and not short[rows:].any()
+    sigmas = np.linspace(0.5, 2.0, 11)
+    full = _normal_means_thetas(_CHUNK_ROWS, _chunk_generator(8, 3), sigmas, 0.3)
+    assert np.array_equal(_normal_means_thetas(rows, _chunk_generator(8, 3), sigmas, 0.3), full[:rows])
+
+
+def _threaded(cores, call):
+    """call() with ``cores`` cores reported, and the threads its t statistics ran on."""
+    threads = set()
+
+    def t_statistics_on(rows):
+        threads.add(threading.current_thread())
+        return t_statistics(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_cores", lambda: cores)
+        patch.setattr(simulate, "t_statistics", t_statistics_on)
+        return call(), threads
+
+
+@pytest.mark.parametrize("reps", [1, 4096, 4097, 9000])
+def test_any_thread_count_gives_the_same_bits(reps):
+    designs = [NormalMeansDesign(dgp=1, m=5), NormalMeansDesign(dgp=2, m=7, delta=0.4, rho=1.5)]
+    designs += [TwfeDesign(dgp=dgp, m=4, sigma=1.3, theta=0.2) for dgp in (1, 2, 3, 4, 5)]
+    for design in designs:
+        def call():
+            config = MCConfig(design=design, reps=reps, seed=71)
+            res = run(config, include_stats=True)
+            if isinstance(design, TwfeDesign):
+                return res.t_stats, twfe_theta_hats(design, reps, seed=72)
+            sigmas = np.append(design.control_sigmas(), design.rho)
+            return res.t_stats, normal_means_t_statistics(sigmas, design.delta, reps, seed=72)
+
+        (t1, x1), serial = _threaded(1, call)
+        (t3, x3), pooled = _threaded(3, call)
+        assert np.array_equal(t1, t3) and np.array_equal(x1, x3), design
+        assert serial == {threading.main_thread()}
+        assert (threading.main_thread() in pooled) == (reps <= _CHUNK_ROWS)
+
+
+class _ChunkFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("design", [NormalMeansDesign(dgp=1, m=5), TwfeDesign(dgp=4, m=4)])
+def test_an_error_in_one_chunk_comes_out_of_run(monkeypatch, cores, design):
+    # 9,000 reps: chunk 2 has 808 rows
+    error = _ChunkFailure("chunk 2")
+
+    def failing(rows):
+        if len(rows) == 808:
+            raise error
+        return t_statistics(rows)
+
+    monkeypatch.setattr(simulate, "_cores", lambda: cores)
+    monkeypatch.setattr(simulate, "t_statistics", failing)
+    with pytest.raises(_ChunkFailure) as raised:
+        run(MCConfig(design=design, reps=9000, seed=3))
+    assert raised.value is error
 
 
 def test_twfe_estimates_match_designs_extractor():
