@@ -9,7 +9,7 @@ Exit codes are a stable contract: 0 success, 2 usage/parameter error,
 4 data error (malformed or non-UTF-8 CSV, including a non-finite outcome or
 an integer outside 64 bits; design violations; files that cannot be read or
 written).  The STC_THREADS environment variable caps ``table --workers``; a
-non-integer value is a parameter error.
+value of either that is not an integer >= 1 is a parameter error.
 
 The panel CSV schema: UTF-8 (a leading byte-order mark is skipped), '.'
 decimal, header ``cluster,unit,time,outcome,c`` where ``unit`` and ``c``
@@ -66,6 +66,7 @@ from .errors import (
     NoValidCriticalValueError,
     NumericalFailureError,
     StcError,
+    as_integer,
 )
 from .inference import Sided, confidence_interval, p_value, rho_frontier, run_test, t_statistic
 from .simulate import MCConfig, NormalMeansDesign, TwfeDesign
@@ -407,14 +408,15 @@ def _arg_type(parse):
 
 
 def _workers(args) -> int:
-    workers = getattr(args, "workers", 1)
+    workers = as_integer("--workers", getattr(args, "workers", 1), minimum=1)
     cap = os.environ.get("STC_THREADS")
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise InvalidParameterError(f"STC_THREADS must be an integer, got {cap!r}") from None
-    return max(1, workers)
+    if cap is None:
+        return workers
+    try:
+        threads = int(cap)
+    except ValueError:
+        raise InvalidParameterError(f"STC_THREADS must be an integer, got {cap!r}") from None
+    return min(workers, as_integer("STC_THREADS", threads, minimum=1))
 
 
 def _panel(args):

@@ -18,7 +18,7 @@ finds `c_underline`'s sign change of `h_bar`, and via `_certified_first_true`
 the critical value here and `inference.rho_frontier`'s bounds in rho.  That
 bisects on the few p_max branches that decide where p_max crosses alpha and
 certifies the bracket with two p_max calls, so a critical value makes 2
-complete p_max calls (with the reported one) instead of about 11.
+complete p_max calls (with the reported one).
 
 `generate_table` evaluates grids of critical values with per-cell error
 capture; `Table.records` rounds each cv to 3 decimals, half away from zero.

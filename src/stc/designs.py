@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignViolationError, InvalidParameterError, RankDeficiencyError
+from .errors import DesignViolationError, InvalidParameterError, RankDeficiencyError, as_integer
 from .inference import ClusterEstimates
 
 __all__ = [
@@ -50,7 +50,9 @@ class PanelData:
 
     ``time``, ``unit`` and ``c_indicator`` are optional columns; designs
     that need them raise a design-violation error when they are absent.
-    ``post_start`` is the first period counted as post-treatment.
+    ``post_start`` is the first period counted as post-treatment.  ``time``,
+    ``c_indicator`` and ``post_start`` must be whole numbers: 2.9 is refused,
+    not truncated.
     """
 
     cluster: np.ndarray
@@ -80,7 +82,7 @@ class PanelData:
             if col.shape != (n,):
                 raise InvalidParameterError(f"{name} column must match the cluster column length")
             if name != "unit":
-                col = col.astype(int)
+                col = _whole_numbers(name, col)
             if name == "c_indicator" and not np.isin(col, (0, 1)).all():
                 raise InvalidParameterError("c_indicator must contain only 0 and 1")
             columns[name] = col
@@ -97,9 +99,23 @@ class PanelData:
             col.flags.writeable = False
             object.__setattr__(self, name, col)
         object.__setattr__(self, "treated_cluster", treated)
-        object.__setattr__(
-            self, "post_start", None if self.post_start is None else int(self.post_start)
-        )
+        if self.post_start is not None:
+            object.__setattr__(self, "post_start", as_integer("post_start", self.post_start))
+
+
+def _whole_numbers(name: str, col: np.ndarray) -> np.ndarray:
+    """``col`` as ints; InvalidParameterError on a value that is not a finite
+    whole number within 64 bits."""
+    if col.dtype.kind in "biu":
+        return col.astype(int)
+    try:
+        values = np.asarray(col, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must hold whole numbers") from None
+    bad = ~(np.isfinite(values) & (values == np.round(values)) & (np.abs(values) < 2.0**63))
+    if bad.any():
+        raise InvalidParameterError(f"{name} must hold whole numbers, got {float(values[bad][0])!r}")
+    return values.astype(int)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,10 @@ dof up to 1e6 and tails down to 1e-300 (tests/test_distributions.py).  The
 normal tail is ``math.erfc``.  Quantiles invert the smaller of p and 1 - p,
 so a tiny lower tail keeps its digits: the normal one by Halley steps from a
 rational start, the t one by Newton steps on the log tail in log c (closed
-forms at dof 1 and 2).  Scalars take a plain-float path that rounds exactly
-as the array path does, so a tail never depends on the batch it is in.
-`_largest_tail` finds the largest of many tails, evaluating only those that
-bounds from their prefactors cannot rule out.  Quantiles and the normal CDF
-loop over array elements in Python.
+forms at dof 1 and 2).  Every function evaluates an array element by
+element on one plain-float path, so a tail never depends on the batch it is
+in.  `_largest_tail` finds the largest of many tails, evaluating only those
+that bounds from their prefactors cannot rule out.
 """
 from __future__ import annotations
 
@@ -45,13 +44,6 @@ _CF_TOL = 4e-16
 # rescales (A, B) by B.
 _CF_BLOCK = 16
 _CF_MAX_STEPS = 5000
-# Up to this many tails, a loop over the scalar path is cheaper than the
-# array path's fixed numpy overhead (measured on p_zero_treated's threshold
-# sets: the loop is faster up to 16 tails, even at 24, slower from 32).
-_SCALAR_BATCH = 24
-# The array path works on this many tails at a time: its work arrays hold
-# about 70 floats a tail.
-_ARRAY_CHUNK = 4096
 # Above c^2/v = e^2 - 1 (log x below -2), pow(x, a) rounds the prefactor
 # better than exp(a log x), whose exponent alone carries a * |log x| ulp.
 _POW_FROM = math.e**2 - 1.0
@@ -66,7 +58,7 @@ _LOG_BETA_SMALL = np.array([0.0] + [math.lgamma(0.5 * v) - math.lgamma(0.5 * v +
 
 
 def _log_beta_series(a):
-    """log B(a, 1/2) for a >= 30, on floats or arrays."""
+    """log B(a, 1/2) for a >= 30, on a float or an array."""
     b = 1.0 / (a * a)
     return _LOG_SQRT_PI - 0.5 * np.log(a) + (0.125 - (1 / 192 - (1 / 640 - 17 / 14336 * b) * b) * b) / a
 
@@ -80,8 +72,7 @@ def _cf_step(p, q, y, y1, symmetric: bool, n):
     d_2n = n(q-n)y / ((p+2n-1)(p+2n)) and d_2n+1 = -t_n y with
     t_n = (p+n)(p+q+n) / ((p+2n)(p+2n+1)).  In the direct form (q = 1/2, y
     near 1) 1 - t_n y cancels, so it is formed as (1 - t_n) + t_n y1 from
-    y1 = 1 - y.  On floats, or on a column of n against rows of arrays, by
-    the same operations."""
+    y1 = 1 - y."""
     den = (p + 2 * n) * (p + (2 * n + 1))
     t = (p + n) * (p + q + n) / den
     lead = 1.0 - t * y if symmetric else (p * (2 * n + 1 - q) + n * (3 * n + 2 - q)) / den + t * y1
@@ -109,49 +100,11 @@ def _cf_scalar(p: float, q: float, y: float, y1: float, w: float, symmetric: boo
     raise ArithmeticError(f"continued fraction for I_{y}({p}, {q}) did not converge")  # pragma: no cover
 
 
-def _cf_array(p, q, y: np.ndarray, y1: np.ndarray, w: np.ndarray, symmetric: bool) -> np.ndarray:
-    """`_cf_scalar` elementwise, bit for bit: each block runs the recurrence
-    on the elements still open, and each takes its first convergent that
-    meets the stop.  One of p and q is an array, the other a float."""
-    out = np.empty_like(y)
-    idx = np.arange(y.size)
-    prev, cur = np.array([np.zeros_like(y), np.ones_like(y)]), np.array([np.ones_like(y), w])
-    last = cur[0] / cur[1]
-    for start in range(1, _CF_MAX_STEPS, _CF_BLOCK):
-        betas, alphas = _cf_step(p, q, y, y1, symmetric, np.arange(start, start + _CF_BLOCK)[:, None])
-        convergents = []
-        for beta, alpha in zip(betas, alphas):
-            prev, cur = cur, beta * cur + alpha * prev
-            convergents.append(cur)
-        ab = np.array(convergents)
-        f = ab[:, 0] / ab[:, 1]
-        met = np.abs(np.diff(f, axis=0, prepend=last[None])) < _CF_TOL * f
-        first, cols = met.argmax(axis=0), np.arange(y.size)
-        done = met[first, cols]
-        out[idx[done]] = f[first[done], cols[done]]
-        if done.all():
-            return out
-        keep = ~done
-        idx, y, y1, last = idx[keep], y[keep], y1[keep], f[-1, keep]
-        p, q = (arg[keep] if isinstance(arg, np.ndarray) else arg for arg in (p, q))
-        prev, cur = prev[:, keep] / cur[1, keep], cur[:, keep] / cur[1, keep]
-    raise ArithmeticError("continued fraction did not converge")  # pragma: no cover
-
-
-def _cf_args(v, a, c2, x, x1, symmetric: bool):
-    """(p, q, y, y1, w) of the fraction in one form, on floats or arrays:
-    I_x(a, 1/2) directly, or I_{1-x}(1/2, a) in the symmetric form, with
-    w = 1 + d1 formed without the cancellation near the switch."""
-    if symmetric:
-        return 0.5, a, x1, x, (v * (3.0 - c2) + 2.0 * c2) / (3.0 * (v + c2))
-    return a, 0.5, x, x1, (0.5 + (a + 0.5) * x1) / (a + 1.0)
-
-
 def _tail_scalar(v: float, c: float) -> tuple[float, float]:
     """Two-sided t tail at c for dof v <= _MAX_DOF, and its prefactor
-    x^a (1-x)^(1/2) / B(a, 1/2), which is c times the t density at c.  numpy's
-    ufuncs round floats as they round arrays, so this is `_tail_array` bit for
-    bit (a one-element exponent keeps numpy from taking x^0.5 as a sqrt)."""
+    x^a (1-x)^(1/2) / B(a, 1/2), which is c times the t density at c.  The
+    prefactor goes through numpy's ufuncs, as `_prefactor_array`'s does (a
+    one-element exponent keeps numpy from taking x^0.5 as a sqrt)."""
     a, c2 = 0.5 * v, c * c
     if c2 == 0.0:
         return 1.0, 0.0
@@ -162,14 +115,19 @@ def _tail_scalar(v: float, c: float) -> tuple[float, float]:
         front = float(np.power(base, [power])[0] * np.sqrt(x1) * np.exp(-log_beta))
     else:
         front = float(np.exp(-(a * np.log1p(c2 / v) + 0.5 * np.log1p(v / c2)) - log_beta))
-    symmetric = c2 * (a + 1.0) < 1.5 * v  # x above (a+1)/(a+2.5)
-    p, q, y, y1, w = _cf_args(v, a, c2, x, x1, symmetric)
+    # I_x(a, 1/2) directly, or I_{1-x}(1/2, a) above x = (a+1)/(a+2.5), with
+    # w = 1 + d1 formed without the cancellation near the switch
+    symmetric = c2 * (a + 1.0) < 1.5 * v
+    if symmetric:
+        p, q, y, y1, w = 0.5, a, x1, x, (v * (3.0 - c2) + 2.0 * c2) / (3.0 * (v + c2))
+    else:
+        p, q, y, y1, w = a, 0.5, x, x1, (0.5 + (a + 0.5) * x1) / (a + 1.0)
     tail = front * _cf_scalar(p, q, y, y1, w, symmetric) / p
     return (1.0 - tail if symmetric else tail), front
 
 
 def _prefactor_array(v: np.ndarray, c: np.ndarray):
-    """(a, c^2, x, 1 - x, prefactor, log prefactor) of `_tail_scalar` on 1-D
+    """(a, x, 1 - x, prefactor, log prefactor) of `_tail_scalar` on 1-D
     arrays of dof <= _MAX_DOF and thresholds.  Where c^2 overflows, x^a is
     (sqrt(v)/c)^v and log x is log v - 2 log c."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # c = 0 or c^2 = inf
@@ -183,21 +141,7 @@ def _prefactor_array(v: np.ndarray, c: np.ndarray):
             - 0.5 * np.log1p(v / c2) - log_beta
         front = np.where(c2 > _POW_FROM * v, np.power(np.where(huge, np.sqrt(v) / c, x), np.where(huge, v, a))
                          * np.sqrt(x1) * np.exp(-log_beta), np.exp(log_front))
-    return a, c2, x, x1, front, log_front
-
-
-def _tail_array(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """`_tail_scalar`'s tail on 1-D arrays of dof <= _MAX_DOF and thresholds."""
-    a, c2, x, x1, front, _ = _prefactor_array(v, c)
-    tail = np.empty_like(c)
-    with np.errstate(over="ignore"):  # c^2 (a + 1) = inf is not symmetric
-        symmetric = c2 * (a + 1.0) < 1.5 * v
-    for form, is_symmetric in ((~symmetric, False), (symmetric, True)):
-        if form.any():
-            p, q, y, y1, w = _cf_args(v[form], a[form], c2[form], x[form], x1[form], is_symmetric)
-            tail[form] = front[form] * _cf_array(p, q, y, y1, w, is_symmetric) / p
-    tail[symmetric] = 1.0 - tail[symmetric]
-    return tail
+    return a, x, x1, front, log_front
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -251,9 +195,9 @@ def t_two_sided_tail(dof, threshold) -> float | np.ndarray:
         threshold: nonnegative tail threshold c (broadcastable).
 
     Returns:
-        The symmetric two-sided tail probability in [0, 1].  Up to 24 tails,
-        and those at dof above 1e6 (normal tails), are evaluated element by
-        element; larger batches run the continued fraction on arrays.
+        The symmetric two-sided tail probability in [0, 1]: a float when
+        both inputs are 0-d, else an array of their broadcast shape, evaluated
+        element by element.
     """
     v = _checked_dof(dof)
     c = np.asarray(threshold, dtype=np.float64)
@@ -261,22 +205,12 @@ def t_two_sided_tail(dof, threshold) -> float | np.ndarray:
         raise InvalidParameterError(f"threshold must be finite and >= 0, got {threshold!r}")
     if v.ndim == 0 and c.ndim == 0:
         return _tail(float(v), float(c))
-    v, c = np.broadcast_arrays(v, c)
-    return _tails(v.ravel(), c.ravel()).reshape(v.shape)
+    return _tails(v, c)
 
 
 def _tails(v: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Two-sided tails on 1-D float arrays of valid dof and thresholds."""
-    if v.size <= _SCALAR_BATCH:
-        return _elementwise(_tail, v, c)
-    normal = v > _MAX_DOF
-    tail = np.empty(c.shape)
-    tail[normal] = [2.0 * _normal_tail(z) for z in c[normal].tolist()]
-    rest = np.flatnonzero(~normal)
-    for lo in range(0, rest.size, _ARRAY_CHUNK):
-        part = rest[lo:lo + _ARRAY_CHUNK]
-        tail[part] = _tail_array(v[part], c[part])
-    return tail
+    """Two-sided tails on float arrays of valid dof and thresholds."""
+    return _elementwise(_tail, v, c)
 
 
 def _largest_tail(dof: np.ndarray, threshold: np.ndarray) -> tuple[float, int]:
@@ -296,7 +230,7 @@ def _largest_tail(dof: np.ndarray, threshold: np.ndarray) -> tuple[float, int]:
     idx = np.arange(v.size)
     if v.size > 1:
         normal = v > _MAX_DOF  # no bounds: always evaluated
-        a, _, x, x1, front, log_front = _prefactor_array(np.where(normal, 1.0, v), c)
+        a, x, x1, front, log_front = _prefactor_array(np.where(normal, 1.0, v), c)
         with np.errstate(divide="ignore", invalid="ignore"):  # x1 = 0, or nan: evaluated
             lower = np.where(normal, -np.inf, log_front + np.log((a + 1.0) / (a * ((a + 1.0) * x1 + 0.5 * x))))
             upper = np.minimum(log_front - np.log(a * x1),

@@ -333,6 +333,9 @@ def large_m_approx_power(
         raise InvalidParameterError(f"rho must be finite and > 0, got {rho!r}")
     if not 0.0 < alpha < 1.0:
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+    delta = float(delta)
+    if not math.isfinite(delta):
+        raise InvalidParameterError(f"delta must be finite, got {delta!r}")
     z = -float(normal_quantile(alpha / 2.0))
     avg_control_var = float(np.mean(sig**2))
     threshold = math.sqrt(m * rho * rho / (m - k + 1.0) * avg_control_var) * z

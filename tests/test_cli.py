@@ -932,6 +932,18 @@ def test_workers_env_cap(monkeypatch, capsys):
     )
     assert code == 2
     assert err.startswith("error: STC_THREADS")
+    # a count below 1 is refused too, not run serially
+    monkeypatch.setenv("STC_THREADS", "0")
+    code, _, err = _run(
+        capsys, ["table", "--alphas", "0.05", "--ms", "5", "--rhos", "1", "--workers", "2"]
+    )
+    assert code == 2
+    assert err == "error: STC_THREADS must be >= 1, got 0\n"
     monkeypatch.delenv("STC_THREADS")
+    code, _, err = _run(
+        capsys, ["table", "--alphas", "0.05", "--ms", "5", "--rhos", "1", "--workers", "-3"]
+    )
+    assert code == 2
+    assert err == "error: --workers must be >= 1, got -3\n"
     assert _workers(Namespace(workers=8)) == 8
     assert _workers(Namespace()) == 1

@@ -330,3 +330,25 @@ def test_the_first_broken_cluster_in_id_order_is_named():
                            time=time, post_start=2)
         with pytest.raises(DesignViolationError, match="'b' has no observations after"):
             extract(broken, DesignKind.DID)
+
+
+def test_integer_columns_refuse_fractions_and_non_finite_values():
+    def panel(**kwargs):
+        base = {"time": np.tile([1, 2], 3), "post_start": 2, "c_indicator": np.zeros(6)}
+        return PanelData(cluster=np.repeat(["a", "b", "t"], 2), outcome=np.arange(6.0),
+                         treated_cluster="t", **{**base, **kwargs})
+
+    with pytest.raises(InvalidParameterError, match="time must hold whole numbers, got 2.9"):
+        panel(time=np.tile([1.0, 2.9], 3))
+    with pytest.raises(InvalidParameterError, match="c_indicator must hold whole numbers, got 0.5"):
+        panel(c_indicator=np.full(6, 0.5))
+    with pytest.raises(InvalidParameterError, match="post_start must be an integer, got 1.7"):
+        panel(post_start=1.7)
+    with pytest.raises(InvalidParameterError, match="time must hold whole numbers, got nan"):
+        panel(time=np.array([1.0, np.nan, 1.0, 2.0, 1.0, 2.0]))
+    with pytest.raises(InvalidParameterError, match="time must hold whole numbers"):
+        panel(time=np.array(["1", "x"] * 3))
+    # whole-valued floats stay accepted
+    data = panel(time=np.tile([1.0, 2.0], 3), post_start=2.0, c_indicator=np.tile([0.0, 1.0], 3))
+    assert data.time.tolist() == [1, 2] * 3 and data.post_start == 2 and type(data.post_start) is int
+    assert data.c_indicator.tolist() == [0, 1] * 3

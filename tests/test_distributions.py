@@ -184,9 +184,9 @@ def test_tiny_lower_tails_keep_their_digits():
 
 
 def test_a_tail_does_not_depend_on_its_batch():
-    # up to 24 tails go element by element, more through arrays: the
-    # two round alike, also for dof 1, 2 and 4, whose exponents 0.5, 1 and 2
-    # numpy takes by other ops when both operands are scalars
+    # every tail runs the same plain-float path, whatever the batch around it,
+    # also for dof 1, 2 and 4, whose exponents 0.5, 1 and 2 numpy would take
+    # by other ops if both operands were scalars
     rng = np.random.default_rng(17)
     dofs = np.concatenate([[1, 2, 4, 3, 2 * 10**6, 1], np.repeat([1, 2, 4], 40), rng.integers(1, 300, 60)])
     cs = np.concatenate([[0.0, 30.0, 1e6, 1e-3, 2.5, 1e200], 10.0 ** rng.uniform(0.5, 3, 120),
@@ -195,8 +195,18 @@ def test_a_tail_does_not_depend_on_its_batch():
     singles = [t_two_sided_tail(int(v), float(c)) for v, c in zip(dofs, cs)]
     pairs = [t_two_sided_tail(dofs[i:i + 2], cs[i:i + 2]) for i in range(0, len(cs), 2)]
     assert batch.tolist() == singles == np.concatenate(pairs).tolist()
-    # past one array chunk too
+    # and in a batch of thousands
     assert t_two_sided_tail(np.resize(dofs, 5000), np.resize(cs, 5000)).tolist() == np.resize(batch, 5000).tolist()
+
+
+def test_tail_shapes():
+    # 0-d inputs give a float; others broadcast, each element as its own call
+    assert type(t_two_sided_tail(np.int64(5), np.float64(2.0))) is float
+    assert type(t_two_sided_tail(np.array(5), 2.0)) is float
+    dofs, cs = np.array([[1], [7], [3e6]]), np.array([0.0, 0.5, 2.0, 40.0])
+    got = t_two_sided_tail(dofs, cs)
+    assert got.shape == (3, 4)
+    assert got.tolist() == [[t_two_sided_tail(float(v), float(c)) for c in cs] for v in dofs[:, 0]]
 
 
 def test_low_dof_tails_survive_an_overflowing_square():

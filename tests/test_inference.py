@@ -420,6 +420,12 @@ def test_large_m_power_monotone():
     assert all(a < b for a, b in zip(powers, powers[1:]))
 
 
+def test_large_m_power_refuses_a_non_finite_delta():
+    for delta in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="delta must be finite"):
+            large_m_approx_power(delta, 1.0, np.ones(30), 30, k=1, rho=1.0, alpha=0.05)
+
+
 def test_large_m_power_matches_simulation():
     m, rho, alpha, delta = 200, 1.0, 0.05, 1.5
     sig = np.ones(m)
