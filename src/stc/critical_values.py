@@ -7,7 +7,10 @@ worst-case rejection probability is at most alpha.  Two routes exist:
     the all-equal configuration (every control SD at rho^{-1}) whenever the
     validity function `h_bar` is nonpositive at the candidate threshold,
     i.e. whenever alpha <= `alpha_underline`(m, rho).  The critical value is
-    then sqrt(rho^2 + 1/m) * t_{m-1, 1-alpha/2} exactly.
+    then sqrt(rho^2 + 1/m) * t_{m-1, 1-alpha/2} exactly.  p-values use the
+    same worst case, the tail of sqrt(rho^2 + 1/m) * t_{m-1} at c = |t|,
+    wherever h_bar(m, c, rho) <= 0 (`_closed_form_k1_tail`, tested at c
+    itself, not against alpha_underline).
   * Optimized — the first c at which `worstcase.p_max`, nonincreasing in
     c, is at most alpha.  The upper end starts at the large-m guess
     sqrt(m/(m-k+1)) * rho * z_{alpha/2} (never trusted as final) plus the
@@ -60,8 +63,9 @@ def _first_true(pred, lo: float, hi: float, abs_tol: float = math.inf,
 
     ``pred(lo)`` must be false.  A false ``pred(hi)`` puts the answer above
     hi, so lo rises to hi and hi doubles (None after `_MAX_DOUBLINGS`).  Then
-    bisection until hi - lo <= min(abs_tol, rel_tol * max(hi, 1e-12)); the
-    answer is hi, and pred is false at lo.
+    bisection until hi - lo <= min(abs_tol, rel_tol * max(hi, 1e-12)), or until
+    lo and hi are adjacent floats (the midpoint rounds to an end); the answer
+    is hi, and pred is false at lo.
     """
     for _ in range(_MAX_DOUBLINGS):
         if pred(hi):
@@ -71,6 +75,8 @@ def _first_true(pred, lo: float, hi: float, abs_tol: float = math.inf,
         return None
     while hi - lo > min(abs_tol, rel_tol * max(hi, 1e-12)):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if pred(mid):
             hi = mid
         else:
@@ -149,14 +155,22 @@ def c_underline(m: int, rho: float) -> float:
 
     The first c above the domain edge with h_bar(m, c, rho) <= 0 (h_bar is
     decreasing), found by `_first_true` from c = max(2 * edge, 2) to an
-    absolute tolerance of 1e-8 on c.
+    absolute tolerance of 1e-8 on c, or to adjacent floats above c = 6.7e7.
+
+    Raises:
+        NoValidCriticalValueError: the crossing lies beyond the last doubling,
+            c = max(2 * edge, 2) * 2^199 (1.6e60 to 2.4e60); the crossing
+            grows about as 2 * rho, so this happens for rho above about 1e60.
     """
     lo = _h_bar_domain(int(m)) + 1e-9
     if h_bar(m, lo, rho) <= 0.0:
         return lo
-    found = _first_true(lambda c: h_bar(m, c, rho) <= 0.0, lo, max(2.0 * lo, 2.0), abs_tol=1e-8)
-    if found is None:  # pragma: no cover - h_bar -> negative limit guarantees termination
-        raise NoValidCriticalValueError("h_bar never became negative")
+    start = max(2.0 * lo, 2.0)
+    found = _first_true(lambda c: h_bar(m, c, rho) <= 0.0, lo, start, abs_tol=1e-8)
+    if found is None:
+        raise NoValidCriticalValueError(
+            f"h_bar(m={m}, c, rho={rho!r}) is still positive at c ="
+            f" {math.ldexp(start, _MAX_DOUBLINGS - 1)!r}, the last of {_MAX_DOUBLINGS} doublings")
     return found[1]
 
 
@@ -215,6 +229,19 @@ class CriticalValueResult:
 
 def _closed_form_k1(m: int, alpha: float, rho: float) -> float:
     return -math.sqrt(rho * rho + 1.0 / m) * float(t_quantile(m - 1, alpha / 2.0))
+
+
+def _closed_form_k1_tail(m: int, c: float, spec: HeterogeneitySpec) -> float | None:
+    """Worst-case tail at c from the k = 1 closed form, or None where it is not shown to hold.
+
+    With k = 1, m >= 4, rho > 0 and h_bar(m, c, rho) <= 0 the worst case at c
+    is the all-equal configuration: P[|sqrt(rho^2 + 1/m) * t_{m-1}| > c].
+    """
+    rho = spec.rho
+    if spec.k != 1 or m < 4 or not rho > 0 or not c > _h_bar_domain(m) \
+            or not h_bar(m, c, rho) <= 0.0:
+        return None
+    return float(t_two_sided_tail(m - 1, c / math.sqrt(rho * rho + 1.0 / m)))
 
 
 def critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalValueResult:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical_values import (CriticalValueResult, _certified_first_true, critical_value,
-                              one_sided_critical_value)
+from .critical_values import (CriticalValueResult, _certified_first_true, _closed_form_k1_tail,
+                              critical_value, one_sided_critical_value)
 from .distributions import normal_cdf, normal_quantile
 from .errors import InvalidParameterError, NumericalFailureError, as_integer
 from .worstcase import HeterogeneitySpec, _branch_value, p_max
@@ -175,7 +175,9 @@ def _observed(est: ClusterEstimates, spec: HeterogeneitySpec,
 
 def _p_value(m: int, t: float, spec: HeterogeneitySpec, direction: int) -> float:
     at = abs(t)
-    two = 0.0 if math.isinf(at) else 1.0 if at == 0.0 else p_max(m, at, spec).value
+    two = 0.0 if math.isinf(at) else 1.0 if at == 0.0 else _closed_form_k1_tail(m, at, spec)
+    if two is None:
+        two = p_max(m, at, spec).value
     if direction == 0:
         return two
     return 0.5 * two if direction * t >= 0.0 else 1.0 - 0.5 * two
@@ -197,9 +199,11 @@ def p_value(
     """Worst-case p-value of the observed t-statistic.
 
     Two-sided: the worst-case tail at |t| (1 whenever |t| <= m^{-1/2}, 0 at
-    infinity).  One-sided: half the two-sided value when t lies in the
-    tested direction — the null distribution of the statistic is symmetric
-    — and the complement of that half otherwise.
+    infinity).  At k = 1, m >= 4 and rho > 0 with h_bar(m, |t|, rho) <= 0 it
+    is the closed form P[|sqrt(rho^2 + 1/m) t_{m-1}| > |t|], with no search;
+    elsewhere `worstcase.p_max`.  One-sided: half the two-sided value when t
+    lies in the tested direction — the null distribution of the statistic is
+    symmetric — and the complement of that half otherwise.
     """
     direction, t, _, _ = _observed(est, spec, sided)
     return _p_value(est.m, t, spec, direction)
@@ -293,10 +297,16 @@ def power_lower_bound(delta: float, sigmas, c: float) -> float:
     c = float(c)
     if not math.isfinite(c) or c <= 0:
         raise InvalidParameterError(f"threshold c must be finite and > 0, got {c!r}")
-    treated_var = sig[-1] ** 2
+    # delta and the SDs divided by one power of two above them all: exact, the
+    # same bits wherever no square under- or overflows, and no square overflows
+    e = math.frexp(max(delta, float(sig.max())))[1]
+    delta, sig = math.ldexp(delta, -e), np.ldexp(sig, -e)
+    treated_var = float(sig[-1]) ** 2
     control_ss = float(np.sum(sig[:-1] ** 2))
-    bound = 1.0 - (treated_var + (2.0 * (c * c + 1.0 / m) / m) * control_ss) / delta**2
-    return max(bound, 0.0)
+    spread = treated_var + ((2.0 * (c * c + 1.0 / m) / m) * control_ss if control_ss else 0.0)
+    if delta * delta == 0.0:  # delta is negligible beside some SD, so spread > 0
+        return 0.0
+    return max(1.0 - spread / delta**2, 0.0)
 
 
 def large_m_approx_power(

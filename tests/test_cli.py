@@ -23,7 +23,9 @@ from stc.cli import (
     write_panel_csv,
 )
 from stc.critical_values import alpha_underline, critical_value, round3
+from stc.distributions import t_two_sided_tail
 from stc.errors import DataFormatError, InvalidParameterError, NoValidCriticalValueError
+from stc.inference import ClusterEstimates, t_statistic
 from stc.worstcase import HeterogeneitySpec, p_max
 
 DID_HEADER = "# toy gain-score panel\ncluster,time,outcome\n\n"
@@ -466,13 +468,18 @@ def test_infeasibility_exit_code(capsys, monkeypatch):
 
 
 def test_huge_t_statistic_is_a_numerical_failure(capsys, tmp_path):
-    # t is about 1e10, a threshold past what the tail kernel resolves
+    # t is about 7.7e9, a threshold past what the tail kernel resolves: the
+    # worst-case search at k = 2 fails, while at k = 1 (m = 4, rho = 1) h_bar
+    # is negative there and the closed form gives the exact tail
     path = tmp_path / "far.csv"
     path.write_text("cluster,outcome\na,0\nb,1e-9\nc,-1e-9\nd,2e-9\nt,10\n")
-    code, out, err = _run(capsys, ["pvalue", "--data", str(path), "--design", "mean",
-                                   "--treated", "t", "--rho", "1"])
+    argv = ["pvalue", "--data", str(path), "--design", "mean", "--treated", "t", "--rho", "1"]
+    code, out, err = _run(capsys, argv + ["--k", "2"])
     assert code == 3
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    t, _, _ = t_statistic(ClusterEstimates(np.array([0.0, 1e-9, -1e-9, 2e-9]), 10.0))
+    expected = float(t_two_sided_tail(3, t / math.sqrt(1.25)))
+    assert _run_json(capsys, argv + ["--k", "1"])["p_value"] == _f6(expected)
 
 
 # the documented contract: 2 parameter, 3 infeasibility, 4 data or file

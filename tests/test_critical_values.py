@@ -215,6 +215,45 @@ def test_c_underline_is_the_sign_change():
         assert h_bar(m, max(c - 1e-4, 1e-12 + c * 0.999), rho) > -1e-6
 
 
+def _capped_h_bar(monkeypatch, cap):
+    """Count `h_bar` calls inside stc.critical_values; fail past ``cap`` of them."""
+    import stc.critical_values as cv_mod
+
+    calls = []
+
+    def counted(m, c, rho):
+        calls.append(c)
+        assert len(calls) <= cap, f"h_bar called more than {cap} times"
+        return h_bar(m, c, rho)
+    monkeypatch.setattr(cv_mod, "h_bar", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rho", [3e7, 4e7, 1e8, 1e30, 8e59])
+def test_c_underline_stops_at_adjacent_floats(monkeypatch, rho):
+    # above c = 6.7e7 floats lie more than the 1e-8 tolerance apart, so the
+    # bisection ends when its midpoint rounds to an end: at most the doublings
+    # plus one halving per bit
+    calls = _capped_h_bar(monkeypatch, _MAX_DOUBLINGS + 60)
+    c = c_underline(5, rho)
+    assert h_bar(5, c, rho) <= 0.0 < h_bar(5, math.nextafter(c, 0.0), rho)
+    if rho == 3e7:  # it ended at this tolerance before the adjacency stop too
+        assert c == 57445626.46538031
+    del calls[:]
+    assert main(["max-alpha", "--ms", "5", "--rhos", repr(rho)]) == 0
+
+
+def test_c_underline_past_the_last_doubling_names_it(monkeypatch, capsys):
+    # 200 doublings from c = 2.19 end near 1.8e60; the crossing grows like 2 * rho
+    calls = _capped_h_bar(monkeypatch, _MAX_DOUBLINGS + 1)
+    with pytest.raises(NoValidCriticalValueError, match=f"{_MAX_DOUBLINGS} doublings"):
+        c_underline(5, 1e100)
+    del calls[:]
+    assert main(["cv", "--m", "5", "--alpha", "0.05", "--k", "1", "--rho", "1e100"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "doublings" in err and err.count("\n") == 1
+
+
 def test_alpha_underline_reference_values():
     # percent-scale maxima of the closed-form validity level
     assert 100 * alpha_underline(5, 1.0) == pytest.approx(9.456, abs=5e-3)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stc.critical_values import _first_true
+from stc.critical_values import (_closed_form_k1_tail, _first_true, alpha_underline, c_underline,
+                                 critical_value, h_bar)
+from stc.distributions import t_two_sided_tail
 from stc.errors import InvalidParameterError, NumericalFailureError
 from stc.inference import (
     ClusterEstimates,
@@ -22,7 +24,7 @@ from stc.inference import (
     t_statistics,
 )
 from stc.simulate import empirical_rejection_rate
-from stc.worstcase import HeterogeneitySpec, p_max
+from stc.worstcase import Boundary, HeterogeneitySpec, p_max
 
 SPEC51 = HeterogeneitySpec(m=5, k=1, rho=1.0)
 
@@ -99,6 +101,74 @@ def test_p_value_matches_worst_case_tail():
         est = _est_with_t(t)
         direct = p_max(5, t, SPEC51).value
         assert p_value(est, SPEC51) == pytest.approx(direct, rel=1e-12)
+
+
+def _est_m_with_t(m: int, t: float) -> ClusterEstimates:
+    # m evenly spaced controls with mean exactly 0, treated at t control SDs
+    controls = np.arange(m) - (m - 1) / 2.0
+    return ClusterEstimates(controls, t * float(np.std(controls, ddof=1)))
+
+
+def test_k1_closed_form_tail_is_the_worst_case():
+    # where h_bar <= 0 the worst case is the all-equal configuration
+    for m in (4, 6, 10, 25, 60):
+        for rho in (0.05, 0.5, 2.0, 20.0):
+            for f in (1.0 + 1e-9, 1.3, 3.0, 10.0):
+                c = c_underline(m, rho) * f
+                spec = HeterogeneitySpec(m, 1, rho)
+                closed = _closed_form_k1_tail(m, c, spec)
+                full = p_max(m, c, spec)
+                assert closed == pytest.approx(full.value, rel=1e-12, abs=0.0), (m, rho, f)
+                assert full.achieving_config == Boundary(m, 0, None), (m, rho, f)
+                assert closed == t_two_sided_tail(m - 1, c / math.sqrt(rho * rho + 1.0 / m))
+
+
+@pytest.mark.parametrize("m,k,rho,f,searches", [
+    (5, 1, 1.0, 1.0 + 1e-6, 0),     # h_bar <= 0 from c_underline on
+    (5, 1, 1.0, 4.0, 0),
+    (100, 1, 1.0, 2.0, 0),
+    (5, 1, 1.0, 1.0 - 1e-6, 1),     # just below c_underline: h_bar > 0
+    (5, 2, 1.0, 2.0, 1),
+    (5, 1, 0.0, 2.0, 1),
+    (3, 1, 1.0, 2.0, 1),            # h_bar needs m >= 4
+])
+def test_p_value_searches_only_outside_the_closed_form(monkeypatch, m, k, rho, f, searches):
+    import stc.inference as inference
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return p_max(*args, **kwargs)
+    monkeypatch.setattr(inference, "p_max", counted)
+    t = f * (c_underline(m, rho) if m >= 4 and rho > 0 else 3.0)
+    est, spec = _est_m_with_t(m, t), HeterogeneitySpec(m, k, rho)
+    t = abs(t_statistic(est)[0])
+    p = p_value(est, spec)
+    assert len(calls) == searches
+    assert run_test(est, spec, 0.05).p_value == p and len(calls) == 2 * searches
+    if searches:
+        assert p == p_max(m, t, spec).value  # the search's bits, as before
+    else:
+        assert h_bar(m, t, rho) <= 0.0
+        assert p == t_two_sided_tail(m - 1, t / math.sqrt(rho * rho + 1.0 / m))
+
+
+def test_k1_duality_around_the_closed_form_cutoff():
+    # levels on both sides of alpha_underline put the critical value on either
+    # path, and thresholds on both sides of it put the p-value on either path
+    for m, rho in ((5, 1.0), (10, 0.5), (25, 2.0)):
+        spec = HeterogeneitySpec(m, 1, rho)
+        a_grid = alpha_underline(m, rho)
+        a_exact = float(t_two_sided_tail(m - 1, c_underline(m, rho) / math.sqrt(rho**2 + 1 / m)))
+        assert a_grid <= a_exact
+        for alpha in (0.999 * a_grid, a_grid, 0.5 * (a_grid + a_exact), 1.001 * a_exact):
+            cv = critical_value(m, alpha, spec).cv
+            for d in (-1e-3, -1e-4, 1e-6, 1e-4, 1e-3):
+                report = run_test(_est_m_with_t(m, cv + d), spec, alpha)
+                if cv - 5e-5 <= abs(report.t_stat) <= cv:
+                    continue
+                assert report.reject == (report.p_value <= alpha), (m, rho, alpha, d)
 
 
 # ---------------------------------------------------- test and interval
@@ -387,6 +457,29 @@ def test_power_lower_bound_limits_and_clamp():
     assert power_lower_bound(0.5, sigmas, c=2.0) == 0.0  # clamped at zero
     with pytest.raises(InvalidParameterError):
         power_lower_bound(-1.0, sigmas, c=2.0)
+
+
+def test_power_lower_bound_at_extreme_scales():
+    # delta and the SDs are divided by one power of two: nothing overflows,
+    # no division by zero (warnings are errors here)
+    ones = np.ones(3)
+    for delta in (1e155, 1e200, 1e308):
+        assert power_lower_bound(delta, ones, c=1.0) == 1.0
+    for delta in (1e-300, 5e-324):
+        assert power_lower_bound(delta, ones, c=1.0) == 0.0
+    assert power_lower_bound(1e-300, np.zeros(3), c=1.0) == 1.0
+    assert power_lower_bound(2.0, [0.0, 0.0, 1.0], c=1e200) == 0.75  # c^2 overflows
+    for e in (600, -600):
+        assert (power_lower_bound(math.ldexp(3.0, e), np.ldexp(ones, e), c=1.0)
+                == power_lower_bound(3.0, ones, c=1.0) == 1.0 - 4.0 / 9.0)
+    # inside the float range the bits are those of the formula as written
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        m = int(rng.integers(2, 12))
+        sig = rng.uniform(0.0, 2.0, m + 1) * 10.0 ** rng.uniform(-50, 50)
+        delta, c = float(sig.max() * rng.uniform(0.5, 50.0)), float(rng.uniform(0.1, 5.0))
+        plain = 1.0 - (sig[-1] ** 2 + (2.0 * (c * c + 1.0 / m) / m) * np.sum(sig[:-1] ** 2)) / delta**2
+        assert power_lower_bound(delta, sig, c) == max(plain, 0.0)
 
 
 def test_power_lower_bound_via_monte_carlo():
