@@ -30,7 +30,6 @@ from .critical_values import (
     c_underline,
     critical_value,
     generate_table,
-    h_bar,
     one_sided_critical_value,
     round3,
 )
@@ -72,6 +71,7 @@ from .worstcase import (
     HeterogeneitySpec,
     WorstCaseResult,
     ZeroTreated,
+    h_bar,
     p_max,
     p_zero_treated,
 )

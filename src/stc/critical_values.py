@@ -5,12 +5,11 @@ worst-case rejection probability is at most alpha.  Two routes exist:
 
   * ClosedFormK1 — for k = 1, m >= 4, rho > 0 the worst case is attained at
     the all-equal configuration (every control SD at rho^{-1}) whenever the
-    validity function `h_bar` is nonpositive at the candidate threshold,
-    i.e. whenever alpha <= `alpha_underline`(m, rho).  The critical value is
-    then sqrt(rho^2 + 1/m) * t_{m-1, 1-alpha/2} exactly.  p-values use the
-    same worst case, the tail of sqrt(rho^2 + 1/m) * t_{m-1} at c = |t|,
-    wherever h_bar(m, c, rho) <= 0 (`_closed_form_k1_tail`, tested at c
-    itself, not against alpha_underline).
+    validity function `worstcase.h_bar` is nonpositive at the candidate
+    threshold, and `p_max` returns that closed form there itself.  Here the
+    rule is the published grids' convention, alpha <= `alpha_underline`(m,
+    rho), with the cutoff rounded up to 0.01; the critical value is then
+    sqrt(rho^2 + 1/m) * t_{m-1, 1-alpha/2} exactly.
   * Optimized — the first c at which `worstcase.p_max`, nonincreasing in
     c, is at most alpha.  The upper end starts at the large-m guess
     sqrt(m/(m-k+1)) * rho * z_{alpha/2} (never trusted as final) plus the
@@ -36,11 +35,11 @@ from decimal import ROUND_HALF_UP, Decimal
 from .distributions import normal_quantile, t_quantile, t_two_sided_tail
 from .errors import (InvalidParameterError, NoValidCriticalValueError, NumericalFailureError,
                      StcError, as_integer)
-from .worstcase import Boundary, HeterogeneitySpec, WorstCaseResult, _branch_value, p_max
+from .worstcase import (Boundary, HeterogeneitySpec, WorstCaseResult, _branch_value, _h_bar_domain,
+                        h_bar, p_max)
 
 __all__ = [
     "CriticalValueResult",
-    "h_bar",
     "c_underline",
     "alpha_underline",
     "critical_value",
@@ -116,38 +115,6 @@ def _certified_first_true(p_at, branch_at, start, alpha: float, rising: bool,
     if not p_at(beyond).value > alpha:
         raise NumericalFailureError(f"branches {active} > {alpha} at {beyond!r}, p_max is not")
     return found
-
-
-def _h_bar_domain(m: int) -> float:
-    if m < 4:
-        raise InvalidParameterError(f"the k = 1 closed form requires m >= 4, got {m}")
-    return math.sqrt(3.0 * (m - 1) / (m * (m - 3)))
-
-
-def h_bar(m: int, c: float, rho: float) -> float:
-    """Validity function for the k = 1 closed form; decreasing in c.
-
-    The closed form holds at threshold c whenever h_bar(m, c, rho) <= 0.
-    Defined for m >= 4, rho > 0 and c > sqrt(3(m-1)/(m(m-3))).
-    """
-    if not (math.isfinite(rho) and rho > 0):
-        raise InvalidParameterError(f"h_bar requires rho > 0, got {rho!r}")
-    if not c > _h_bar_domain(int(m)):
-        raise InvalidParameterError(
-            f"h_bar requires c > {_h_bar_domain(int(m))!r}, got {c!r}"
-        )
-    m = int(m)
-    kappa = m * c * c / (m - 1.0)
-    tau = (kappa + 1.0) / (m * kappa)
-    z_low = 1.0 / (2.0 * max(m * rho * rho + 1.0, kappa + 2.0))
-    first = max(
-        3.0 * (m * rho * rho + 1.0) / (m * rho * rho + kappa + 1.0),
-        (2.0 * kappa + 3.0) / (kappa + 1.0),
-    )
-    second = (1.0 - tau) / (
-        1.0 - tau + min((1.0 - 2.0 * tau) * kappa * z_low - 0.5, 0.0)
-    )
-    return first + second - m * kappa / (m * rho * rho + kappa + 1.0) - 1.0
 
 
 def c_underline(m: int, rho: float) -> float:
@@ -231,19 +198,6 @@ def _closed_form_k1(m: int, alpha: float, rho: float) -> float:
     return -math.sqrt(rho * rho + 1.0 / m) * float(t_quantile(m - 1, alpha / 2.0))
 
 
-def _closed_form_k1_tail(m: int, c: float, spec: HeterogeneitySpec) -> float | None:
-    """Worst-case tail at c from the k = 1 closed form, or None where it is not shown to hold.
-
-    With k = 1, m >= 4, rho > 0 and h_bar(m, c, rho) <= 0 the worst case at c
-    is the all-equal configuration: P[|sqrt(rho^2 + 1/m) * t_{m-1}| > c].
-    """
-    rho = spec.rho
-    if spec.k != 1 or m < 4 or not rho > 0 or not c > _h_bar_domain(m) \
-            or not h_bar(m, c, rho) <= 0.0:
-        return None
-    return float(t_two_sided_tail(m - 1, c / math.sqrt(rho * rho + 1.0 / m)))
-
-
 def critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalValueResult:
     """Smallest c with worst-case rejection probability <= alpha (two-sided).
 
@@ -251,8 +205,8 @@ def critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalVal
     m >= 4, rho > 0 and alpha <= alpha_underline); otherwise inverts
     `p_max` with `_certified_first_true` to a bracket width of 5e-5
     (returning its upper end).  Either way one complete `p_max` at the
-    returned cv fills ``worst_case``; on the ClosedFormK1 path it is the
-    check of the closed form, whose worst case there is alpha.
+    returned cv fills ``worst_case``; on the ClosedFormK1 path that call is
+    itself the closed-form tail, alpha up to rounding, with no search.
 
     Raises:
         InvalidParameterError: alpha outside (0, 0.5) or mismatched spec.

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical_values import (CriticalValueResult, _certified_first_true, _closed_form_k1_tail,
-                              critical_value, one_sided_critical_value)
+from .critical_values import (CriticalValueResult, _certified_first_true, critical_value,
+                              one_sided_critical_value)
 from .distributions import normal_cdf, normal_quantile
 from .errors import InvalidParameterError, NumericalFailureError, as_integer
 from .worstcase import HeterogeneitySpec, _branch_value, p_max
@@ -175,9 +175,7 @@ def _observed(est: ClusterEstimates, spec: HeterogeneitySpec,
 
 def _p_value(m: int, t: float, spec: HeterogeneitySpec, direction: int) -> float:
     at = abs(t)
-    two = 0.0 if math.isinf(at) else 1.0 if at == 0.0 else _closed_form_k1_tail(m, at, spec)
-    if two is None:
-        two = p_max(m, at, spec).value
+    two = 0.0 if math.isinf(at) else 1.0 if at == 0.0 else p_max(m, at, spec).value
     if direction == 0:
         return two
     return 0.5 * two if direction * t >= 0.0 else 1.0 - 0.5 * two
@@ -198,12 +196,13 @@ def p_value(
 ) -> float:
     """Worst-case p-value of the observed t-statistic.
 
-    Two-sided: the worst-case tail at |t| (1 whenever |t| <= m^{-1/2}, 0 at
-    infinity).  At k = 1, m >= 4 and rho > 0 with h_bar(m, |t|, rho) <= 0 it
-    is the closed form P[|sqrt(rho^2 + 1/m) t_{m-1}| > |t|], with no search;
-    elsewhere `worstcase.p_max`.  One-sided: half the two-sided value when t
-    lies in the tested direction — the null distribution of the statistic is
-    symmetric — and the complement of that half otherwise.
+    Two-sided: the worst-case tail `worstcase.p_max` at |t| (1 whenever
+    |t| <= m^{-1/2}, 0 at infinity); at k = 1, m >= 4 and rho > 0 with
+    h_bar(m, |t|, rho) <= 0, `p_max` returns the closed form
+    P[|sqrt(rho^2 + 1/m) t_{m-1}| > |t|] with no search.  One-sided: half the
+    two-sided value when t lies in the tested direction — the null
+    distribution of the statistic is symmetric — and the complement of that
+    half otherwise.
     """
     direction, t, _, _ = _observed(est, spec, sided)
     return _p_value(est.m, t, spec, direction)

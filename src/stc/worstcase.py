@@ -26,6 +26,11 @@ costs one vectorized tail evaluation for the whole group.  One producer,
 `p_tilde` and the inversions' `_branch_value` (one branch each).  The tail
 kernel's values do not depend on the batch a row is evaluated in, so a
 branch's trace is the same either way.
+
+At k = 1 (m >= 4, rho > 0), wherever the validity function h_bar(m, c, rho)
+is <= 0, the worst case is the all-equal branch (m, 0), every control at
+rho^{-1}: the closed form P[|sqrt(rho^2 + 1/m) t_{m-1}| > c].  `p_max` itself
+returns it there, via `_branch_traces`, with no search.
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _largest_tail
+from .distributions import _largest_tail, t_two_sided_tail
 from .errors import InvalidParameterError, as_integer
 from .rejection import DEFAULT_SETTINGS, QuadratureSettings, _tails_for_gamma_rows
 
@@ -44,6 +49,7 @@ __all__ = [
     "ZeroTreated",
     "Boundary",
     "BranchTrace",
+    "h_bar",
     "p_zero_treated",
     "p_bar",
     "p_tilde",
@@ -102,7 +108,7 @@ class Boundary:
 
 @dataclass(frozen=True)
 class BranchTrace:
-    """Optimizer trace for one (m1, m0) boundary branch."""
+    """Optimizer trace for one (m1, m0) boundary branch (n_evals = 0: the k = 1 closed form)."""
 
     m1: int
     m0: int
@@ -172,6 +178,36 @@ def p_zero_treated(m: int, c: float) -> float:
     of t tails over the active-control count j otherwise.
     """
     return _p_zero_treated_detail(m, c)[0]
+
+
+def _h_bar_domain(m: int) -> float:
+    if m < 4:
+        raise InvalidParameterError(f"the k = 1 closed form requires m >= 4, got {m}")
+    return math.sqrt(3.0 * (m - 1) / (m * (m - 3)))
+
+
+def h_bar(m: int, c: float, rho: float) -> float:
+    """Validity function for the k = 1 closed form; decreasing in c.
+
+    The closed form holds at threshold c whenever h_bar(m, c, rho) <= 0.
+    Defined for m >= 4, rho > 0 and c > sqrt(3(m-1)/(m(m-3))).
+    """
+    if not (math.isfinite(rho) and rho > 0):
+        raise InvalidParameterError(f"h_bar requires rho > 0, got {rho!r}")
+    if not c > _h_bar_domain(int(m)):
+        raise InvalidParameterError(f"h_bar requires c > {_h_bar_domain(int(m))!r}, got {c!r}")
+    m = int(m)
+    kappa = m * c * c / (m - 1.0)
+    tau = (kappa + 1.0) / (m * kappa)
+    z_low = 1.0 / (2.0 * max(m * rho * rho + 1.0, kappa + 2.0))
+    first = max(
+        3.0 * (m * rho * rho + 1.0) / (m * rho * rho + kappa + 1.0),
+        (2.0 * kappa + 3.0) / (kappa + 1.0),
+    )
+    second = (1.0 - tau) / (
+        1.0 - tau + min((1.0 - 2.0 * tau) * kappa * z_low - 0.5, 0.0)
+    )
+    return first + second - m * kappa / (m * rho * rho + kappa + 1.0) - 1.0
 
 
 def _boundary_rows(m: int, rho: float, m1, m0, gamma) -> tuple[np.ndarray, np.ndarray]:
@@ -266,12 +302,19 @@ def _branch_traces(m: int, c: float, k: int, rho: float, pairs: list[tuple[int, 
     """Traces of the (m1, m0) branches, the fixed ones (m1 + m0 = m) first.
 
     The one producer of branch values for `p_max`, `p_tilde` and
-    `_branch_value`, so a branch's value is the same whichever asks.  A fixed
-    branch is one default-rule row; the free ones go to one
-    `_optimize_gamma_branches` search.  With ``stop_above`` set, the free
-    search is skipped when a fixed value is already above it, and may itself
-    exit early (one trace above ``stop_above``).
+    `_branch_value`, so a branch's value is the same whichever asks.  Where
+    the k = 1 closed form holds at c and the all-equal branch (m, 0) is asked
+    for, that branch is the worst case: its one trace carries the closed-form
+    tail, with n_evals = 0, and no kernel runs.  Otherwise a fixed branch is
+    one default-rule row; the free ones go to one `_optimize_gamma_branches`
+    search.  With ``stop_above`` set, the free search is skipped when a fixed
+    value is already above it, and may itself exit early (one trace above
+    ``stop_above``).
     """
+    if k == 1 and m >= 4 and rho > 0 and (m, 0) in pairs and c > _h_bar_domain(m) \
+            and h_bar(m, c, rho) <= 0.0:
+        tail = float(t_two_sided_tail(m - 1, c / math.sqrt(rho * rho + 1.0 / m)))
+        return [BranchTrace(m, 0, 0.0, None, tail, 0)]
     branches = [(m1, m0, 0.0 if m1 >= m - k + 1 else 1.0 / rho) for m1, m0 in pairs]
     fixed = [br for br in branches if br[0] + br[1] == m]
     free = [br for br in branches if br[0] + br[1] < m]
@@ -476,8 +519,10 @@ def p_max(
     Returns 1 with a degeneracy flag for c <= m^{-1/2} (every test at such a
     threshold is worthless); returns the zero-treated worst case alone at rho
     = 0 or below about 1e-150 (`_zero_treated_only`); otherwise maximizes over
-    the zero-treated branch and all boundary branches.  Ties between the
-    zero-treated branch and a boundary branch report the boundary branch.
+    the zero-treated branch and all boundary branches, of which only (m, 0)
+    is evaluated, as the k = 1 closed form, where that holds at c.  Ties
+    between the zero-treated branch and a boundary branch report the
+    boundary branch.
 
     ``stop_above`` allows the caller to ask only whether the maximum exceeds
     a threshold: the search returns early (diagnostics.complete = False,

@@ -95,6 +95,14 @@ def test_cv_optimized_k2(capsys):
     assert obj["worst_case_at_cv"] <= 0.05
 
 
+@pytest.mark.parametrize("rho,cv", [("5e7", 1.38822e8), ("1e8", 2.77645e8)])
+def test_closed_form_cv_beyond_the_root_bracket(capsys, rho, cv):
+    # the worst case at a ClosedFormK1 cv is the closed-form tail itself, so a
+    # cv past the tail kernel's root bracket (about 1.26e8) still reports it
+    obj = _run_json(capsys, ["cv", "--m", "5", "--alpha", "0.05", "--k", "1", "--rho", rho])
+    assert (obj["cv"], obj["method"], obj["worst_case_at_cv"]) == (cv, "ClosedFormK1", 0.05)
+
+
 def test_cv_one_sided_equals_doubled_level(capsys):
     one = _run_json(
         capsys,

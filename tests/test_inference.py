@@ -1,13 +1,13 @@
 """t-statistic, worst-case p-values, intervals, frontiers, and power."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stc.critical_values import (_closed_form_k1_tail, _first_true, alpha_underline, c_underline,
-                                 critical_value, h_bar)
+from stc.critical_values import _first_true, alpha_underline, c_underline, critical_value, h_bar
 from stc.distributions import t_two_sided_tail
 from stc.errors import InvalidParameterError, NumericalFailureError
 from stc.inference import (
@@ -24,7 +24,8 @@ from stc.inference import (
     t_statistics,
 )
 from stc.simulate import empirical_rejection_rate
-from stc.worstcase import Boundary, HeterogeneitySpec, p_max
+from stc.worstcase import (Boundary, HeterogeneitySpec, _branch_order, _branch_traces, p_bar, p_max,
+                           p_zero_treated)
 
 SPEC51 = HeterogeneitySpec(m=5, k=1, rho=1.0)
 
@@ -110,17 +111,34 @@ def _est_m_with_t(m: int, t: float) -> ClusterEstimates:
 
 
 def test_k1_closed_form_tail_is_the_worst_case():
-    # where h_bar <= 0 the worst case is the all-equal configuration
+    # where h_bar <= 0 the worst case is the all-equal configuration: the
+    # search over every other branch, and the zero-treated branch, stay at
+    # or below the closed-form tail, and the kernel's own (m, 0) row is it
     for m in (4, 6, 10, 25, 60):
         for rho in (0.05, 0.5, 2.0, 20.0):
             for f in (1.0 + 1e-9, 1.3, 3.0, 10.0):
                 c = c_underline(m, rho) * f
-                spec = HeterogeneitySpec(m, 1, rho)
-                closed = _closed_form_k1_tail(m, c, spec)
-                full = p_max(m, c, spec)
-                assert closed == pytest.approx(full.value, rel=1e-12, abs=0.0), (m, rho, f)
-                assert full.achieving_config == Boundary(m, 0, None), (m, rho, f)
-                assert closed == t_two_sided_tail(m - 1, c / math.sqrt(rho * rho + 1.0 / m))
+                tail = float(t_two_sided_tail(m - 1, c / math.sqrt(rho * rho + 1.0 / m)))
+                others = [pair for pair in _branch_order(m, 1) if pair != (m, 0)]
+                for tr in _branch_traces(m, c, 1, rho, others):
+                    assert tr.value <= tail * (1.0 + 1e-12), (m, rho, f, tr)
+                assert p_zero_treated(m, c) <= tail * (1.0 + 1e-12), (m, rho, f)
+                assert p_bar(m, c, rho, None, m, 0) == pytest.approx(tail, rel=1e-12, abs=0.0)
+                full = p_max(m, c, HeterogeneitySpec(m, 1, rho))
+                assert (full.value, full.achieving_config) == (tail, Boundary(m, 0, None))
+
+
+def _counted_kernel(monkeypatch) -> list:
+    """Count tail-kernel calls (`worstcase._tails_for_gamma_rows`) from here on."""
+    import stc.worstcase as worstcase
+
+    calls, kernel = [], worstcase._tails_for_gamma_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+    monkeypatch.setattr(worstcase, "_tails_for_gamma_rows", counted)
+    return calls
 
 
 @pytest.mark.parametrize("m,k,rho,f,searches", [
@@ -129,29 +147,46 @@ def test_k1_closed_form_tail_is_the_worst_case():
     (100, 1, 1.0, 2.0, 0),
     (5, 1, 1.0, 1.0 - 1e-6, 1),     # just below c_underline: h_bar > 0
     (5, 2, 1.0, 2.0, 1),
-    (5, 1, 0.0, 2.0, 1),
+    (5, 1, 0.0, 2.0, 1),            # rho = 0: the zero-treated branch alone, no kernel
     (3, 1, 1.0, 2.0, 1),            # h_bar needs m >= 4
 ])
 def test_p_value_searches_only_outside_the_closed_form(monkeypatch, m, k, rho, f, searches):
-    import stc.inference as inference
-
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return p_max(*args, **kwargs)
-    monkeypatch.setattr(inference, "p_max", counted)
     t = f * (c_underline(m, rho) if m >= 4 and rho > 0 else 3.0)
     est, spec = _est_m_with_t(m, t), HeterogeneitySpec(m, k, rho)
     t = abs(t_statistic(est)[0])
+    calls = _counted_kernel(monkeypatch)
     p = p_value(est, spec)
-    assert len(calls) == searches
-    assert run_test(est, spec, 0.05).p_value == p and len(calls) == 2 * searches
-    if searches:
-        assert p == p_max(m, t, spec).value  # the search's bits, as before
-    else:
+    assert bool(calls) == (searches and rho > 0)
+    report = run_test(est, spec, 0.01)
+    assert report.p_value == p
+    if rho == 0.0:
+        assert p == p_zero_treated(m, t)
+    elif not searches:  # and the k = 1 cv at 0.01 is closed-form too
+        assert calls == [] and report.cv.method == "ClosedFormK1"
         assert h_bar(m, t, rho) <= 0.0
         assert p == t_two_sided_tail(m - 1, t / math.sqrt(rho * rho + 1.0 / m))
+
+
+def test_closed_form_critical_value_runs_no_kernel(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    for m, alpha, rho in ((5, 0.05, 1.0), (10, 0.01, 0.2), (50, 0.05, 5.0), (5, 0.05, 5e7)):
+        res = critical_value(m, alpha, HeterogeneitySpec(m, 1, rho))
+        assert res.method == "ClosedFormK1" and res.p_max_calls == (1, 0)
+        assert res.worst_case.diagnostics.branches[0].n_evals == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_p_value_past_the_overflow_of_h_bar_is_zero(k):
+    # h_bar is NaN once m*c^2 overflows (|t| above about 6.7e153 at m = 4),
+    # but from about c = 1e146 p_max is already the zero-treated value, and
+    # the true tail (about c^-3) underflows there anyway
+    spec = HeterogeneitySpec(4, k, 1.0)
+    for t in (7e153, 1e154, 1e200):
+        est = _est_m_with_t(4, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p_value(est, spec) == 0.0, t
 
 
 def test_k1_duality_around_the_closed_form_cutoff():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stc.charpoly import GammaConfig
-from stc.critical_values import _closed_form_k1
+from stc.critical_values import _closed_form_k1, c_underline
 from stc.distributions import t_quantile, t_two_sided_tail
 from stc.errors import InvalidParameterError, NumericalFailureError
 from stc.rejection import DEFAULT_SETTINGS, _tails_for_gamma_rows, rejection_probability
@@ -20,6 +20,7 @@ from stc.worstcase import (
     _branch_order,
     _branch_value,
     _optimize_gamma_branches,
+    h_bar,
     p_bar,
     p_max,
     p_tilde,
@@ -65,9 +66,10 @@ def test_zero_treated_at_huge_thresholds():
 
 
 def test_p_max_past_the_root_bracket_is_a_numerical_failure():
-    # 1/kappa = m*tau - 1 rounds to 0 above about c = 1.26e8 at m = 4
+    # 1/kappa = m*tau - 1 rounds to 0 above about c = 1.26e8 at m = 4; at
+    # k = 2 the search runs there (at k = 1 the closed form answers)
     with pytest.raises(NumericalFailureError):
-        p_max(4, 1e12, HeterogeneitySpec(m=4, k=1, rho=1.0))
+        p_max(4, 1e12, HeterogeneitySpec(m=4, k=2, rho=1.0))
 
 
 def test_zero_treated_monte_carlo_per_branch():
@@ -246,15 +248,25 @@ def test_p_max_at_tiny_rho_is_the_zero_treated_limit(rho):
     assert _branch_value(3, 2.0, spec, (3, 0)) == traces.get((3, 0), res.value)
 
 
-def test_branch_value_equals_each_p_max_trace():
+def _branch_value_cases():
     rng = np.random.default_rng(10)
     for _ in range(12):
         m = int(rng.integers(2, 9))
         k = int(rng.integers(1, m + 1))
         rho = float(rng.choice([0.0, rng.uniform(0.1, 3.0)]))
-        c = float(rng.uniform(1.01, 6.0)) / math.sqrt(m)
+        yield m, k, rho, float(rng.uniform(1.01, 6.0)) / math.sqrt(m), False
+    # k = 1 where h_bar <= 0: p_max's one trace is the closed form at (m, 0)
+    for m, rho, f in ((4, 0.5, 1.5), (6, 2.0, 1.0 + 1e-9), (10, 1.0, 3.0)):
+        yield m, 1, rho, c_underline(m, rho) * f, True
+
+
+def test_branch_value_equals_each_p_max_trace():
+    for m, k, rho, c, closed in _branch_value_cases():
         spec = HeterogeneitySpec(m=m, k=k, rho=rho)
         res = p_max(m, c, spec)
+        if closed:
+            assert h_bar(m, c, rho) <= 0.0
+            assert [(tr.m1, tr.m0, tr.n_evals) for tr in res.diagnostics.branches] == [(m, 0, 0)]
         assert _branch_value(m, c, spec, None) == res.diagnostics.zero_treated_value
         for tr in res.diagnostics.branches:
             assert _branch_value(m, c, spec, (tr.m1, tr.m0)) == tr.value, (m, k, rho, c, tr)
@@ -396,12 +408,25 @@ def test_gamma_truncation_loses_nothing_beyond_it():
 @pytest.mark.xfail(strict=True, reason="the tail kernel loses relative accuracy above about "
                    "c = 1e6 (root bracket and F(t) - 1 cancellation)")
 def test_p_max_keeps_its_c_cubed_tail_at_huge_thresholds():
-    # at m = 4, k = 1, rho = 0.5, p_max * c^3 settles at 0.77970: c = 1e4 and
-    # 1e5 agree to 3e-7; it reads 0.77979 at 1e6 and 0.77775 at 1e7
-    spec = HeterogeneitySpec(m=4, k=1, rho=0.5)
+    # at m = 4, k = 2, rho = 0.5, p_max * c^3 reads 0.8442224 at c = 1e4,
+    # 0.8443559 at 1e6 and 0.8453664 at 1e7 (k = 2: at k = 1 the closed form
+    # answers these thresholds, see the test below)
+    spec = HeterogeneitySpec(m=4, k=2, rho=0.5)
     settled = p_max(4, 1e4, spec).value * 1e12
     for c in (1e5, 1e6, 1e7):
         assert p_max(4, c, spec).value * c**3 == pytest.approx(settled, rel=1e-6), c
+
+
+def test_k1_closed_form_keeps_its_c_cubed_tail_at_huge_thresholds():
+    # at k = 1 h_bar is negative at these thresholds, so p_max is the exact
+    # tail of sqrt(rho^2 + 1/m) t_3, with no kernel root to lose: p_max * c^3
+    # settles (it moves by 1.8e-8 from c = 1e4 to 1e5, the c^-2 term)
+    spec = HeterogeneitySpec(m=4, k=1, rho=0.5)
+    settled = p_max(4, 1e4, spec).value * 1e12
+    for c in (1e5, 1e6, 1e7, 1e8, 1e12):
+        res = p_max(4, c, spec)
+        assert res.value * c**3 == pytest.approx(settled, rel=1e-6), c
+        assert res.achieving_config == Boundary(4, 0, None)
 
 
 def test_branch_search_cost_is_pinned():
