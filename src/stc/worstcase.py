@@ -299,17 +299,17 @@ def p_tilde(
 
 def _branch_traces(m: int, c: float, k: int, rho: float, pairs: list[tuple[int, int]],
                    stop_above: float | None = None) -> list[BranchTrace]:
-    """Traces of the (m1, m0) branches, the fixed ones (m1 + m0 = m) first.
+    """Traces of the (m1, m0) branches asked for, the fixed ones (m1 + m0 = m) first.
 
     The one producer of branch values for `p_max`, `p_tilde` and
-    `_branch_value`, so a branch's value is the same whichever asks.  Where
-    the k = 1 closed form holds at c and the all-equal branch (m, 0) is asked
-    for, that branch is the worst case: its one trace carries the closed-form
-    tail, with n_evals = 0, and no kernel runs.  Otherwise a fixed branch is
-    one default-rule row; the free ones go to one `_optimize_gamma_branches`
-    search.  With ``stop_above`` set, the free search is skipped when a fixed
-    value is already above it, and may itself exit early (one trace above
-    ``stop_above``).
+    `_branch_value`, so a branch's value is the same whichever asks.  One
+    trace per pair, except where the k = 1 closed form holds at c and (m, 0)
+    is asked for: that branch is then the worst of all, and its one trace,
+    the closed-form tail with n_evals = 0, is returned alone; no kernel runs.
+    Otherwise a fixed branch is one default-rule row; the free ones go to one
+    `_optimize_gamma_branches` search.  With ``stop_above`` set, the free
+    search is skipped when a fixed value is already above it, and may itself
+    exit early (one trace above ``stop_above``).
     """
     if k == 1 and m >= 4 and rho > 0 and (m, 0) in pairs and c > _h_bar_domain(m) \
             and h_bar(m, c, rho) <= 0.0:

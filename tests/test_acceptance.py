@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import stc.worstcase
 from stc.charpoly import GammaConfig, negative_root, theta_lower_bound
 from stc.cli import read_panel_csv, write_panel_csv
 from stc.critical_values import alpha_underline, critical_value, generate_table, round3
@@ -46,17 +47,29 @@ CELL_TOL = 0.005  # 3-decimal reference grids
 
 
 def _bisect_cv(m: int, alpha: float, spec: HeterogeneitySpec) -> float:
-    """Independent inversion of the worst case, bypassing the closed form."""
-    lo = 1.0 / math.sqrt(m) + 1e-6
-    hi = 2.0 * (math.sqrt(spec.rho**2 + 1.0 / m) * float(t_quantile(m - 1, 1 - alpha / 2)) + 1.0)
-    while p_max(m, hi, spec, stop_above=alpha).value > alpha:
-        hi *= 2.0
-    while hi - lo > min(5e-5, 0.99e-4 * hi):
-        mid = 0.5 * (lo + hi)
-        if p_max(m, mid, spec, stop_above=alpha).value > alpha:
-            lo = mid
-        else:
-            hi = mid
+    """Independent inversion of the worst case, bypassing the closed form.
+
+    `p_max` answers the k = 1 closed form wherever `h_bar` <= 0; with
+    `worstcase.h_bar` held positive it runs the full branch search instead.
+    """
+
+    def exceeds(c: float) -> bool:
+        res = p_max(m, c, spec, stop_above=alpha)
+        assert all(tr.n_evals > 0 for tr in res.diagnostics.branches), (m, c, spec)
+        return res.value > alpha
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stc.worstcase, "h_bar", lambda *args: 1.0)
+        lo = 1.0 / math.sqrt(m) + 1e-6
+        hi = 2.0 * (math.sqrt(spec.rho**2 + 1.0 / m) * float(t_quantile(m - 1, 1 - alpha / 2)) + 1.0)
+        while exceeds(hi):
+            hi *= 2.0
+        while hi - lo > min(5e-5, 0.99e-4 * hi):
+            mid = 0.5 * (lo + hi)
+            if exceeds(mid):
+                lo = mid
+            else:
+                hi = mid
     return hi
 
 

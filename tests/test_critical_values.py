@@ -5,6 +5,7 @@ import types
 
 import pytest
 
+import stc.worstcase
 from stc.cli import main
 from stc.critical_values import (
     _MAX_DOUBLINGS,
@@ -311,16 +312,21 @@ def test_cv_is_tight_inversion():
             assert p_max(m, below, spec).value > alpha
 
 
-def test_closed_form_agrees_with_direct_bisection():
+def test_closed_form_agrees_with_direct_bisection(monkeypatch):
     # independently invert the worst case by bisection where the closed
-    # form applies; both must land within the bisection width
+    # form applies; both must land within the bisection width.  p_max
+    # answers the closed form itself wherever h_bar <= 0, so h_bar is held
+    # positive in worstcase to make it run the branch search
     m, alpha, spec = 6, 0.05, _spec(6, 1, 1.5)
     res = critical_value(m, alpha, spec)
     assert res.method == "ClosedFormK1"
+    monkeypatch.setattr(stc.worstcase, "h_bar", lambda *args: 1.0)
     lo, hi = 1.0 / math.sqrt(m) + 1e-6, 20.0
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if p_max(m, mid, spec).value > alpha:
+        searched = p_max(m, mid, spec)
+        assert all(tr.n_evals > 0 for tr in searched.diagnostics.branches)
+        if searched.value > alpha:
             lo = mid
         else:
             hi = mid

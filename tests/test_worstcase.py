@@ -18,6 +18,7 @@ from stc.worstcase import (
     ZeroTreated,
     _boundary_rows,
     _branch_order,
+    _branch_traces,
     _branch_value,
     _optimize_gamma_branches,
     h_bar,
@@ -275,6 +276,28 @@ def test_branch_value_equals_each_p_max_trace():
     # at a worthless threshold every branch is 1, as p_max is
     spec = HeterogeneitySpec(m=4, k=2, rho=1.0)
     assert _branch_value(4, 0.5, spec, (3, 1)) == _branch_value(4, 0.5, spec, None) == 1.0
+
+
+def test_branch_traces_returns_one_trace_per_pair_outside_the_closed_form():
+    # one trace per pair asked for, except where the k = 1 closed form holds
+    # and (m, 0) is asked for: then its closed-form trace alone
+    m, rho = 6, 1.0
+    pairs = _branch_order(m, 1)
+    assert (m, 0) in pairs and len(pairs) > 1
+    cut = c_underline(m, rho)
+    inside, outside = cut * 1.5, cut * (1.0 - 1e-3)
+    assert h_bar(m, inside, rho) <= 0.0 < h_bar(m, outside, rho)
+    closed = _branch_traces(m, inside, 1, rho, pairs)
+    assert [(tr.m1, tr.m0, tr.gamma, tr.n_evals) for tr in closed] == [(m, 0, None, 0)]
+    tail = t_two_sided_tail(m - 1, inside / math.sqrt(rho * rho + 1.0 / m))
+    assert closed[0].value == pytest.approx(tail, rel=1e-15)
+    others = [pair for pair in pairs if pair != (m, 0)]
+    for c, asked in ((inside, others), (outside, pairs)):
+        traces = _branch_traces(m, c, 1, rho, asked)
+        assert sorted((tr.m1, tr.m0) for tr in traces) == sorted(asked)
+        assert all(tr.n_evals > 0 for tr in traces)
+    # at k = 2 the closed form never applies
+    assert len(_branch_traces(m, inside, 2, rho, _branch_order(m, 2))) == len(_branch_order(m, 2))
 
 
 def test_stop_above_certifies_exceedance():
