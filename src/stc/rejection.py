@@ -14,7 +14,9 @@ A configuration is carried as distinct values x_j with counts n_j
 (sum n_j = m; a group with n_j = 0 is inert), and equal ratios give equal
 factors, so PQ = Q * sum_j n_j a_j/(x_j + s) with Q = prod_j (x_j + s)^n_j
 and a_j = (1 + tau*x_j)/(x_j + t): the work per node is one term per group,
-added group by group on (rows, nodes) arrays (cheaper than a group axis).
+added group by group (cheaper than a group axis).  Every (rows, nodes) step
+writes into one of six work buffers that a call allocates once and reuses
+for each chunk of rows: the cost is the arithmetic, not numpy temporaries.
 Fusing is mandatory: the unfused factors P and Q separately tend to
 infinity and zero when some x_j = 0, while the fused form stays finite and
 strictly positive on (0, t).  The endpoint singularity 1/sqrt(t - s) is
@@ -47,11 +49,13 @@ __all__ = ["QuadratureSettings", "rejection_probability"]
 
 # The only bound on a kernel call's working set, however many rows a caller
 # batches (`p_max` sends all its branches at once): a chunk holds at most
-# this many rows x nodes x groups, so each of its ~ten (rows, nodes) float64
-# work arrays holds at most this / groups elements.  Values do not depend on
-# it (the sum is row-wise).  Measured on a 2-core Xeon (4 MB L2): down from
-# 4e6 the arrays come to fit in cache, and a complete p_max(200, k=2) fell
-# from 184 to 84-110 ms; 6.25e4 was no faster; peak RSS fell 197 -> 108 MB.
+# this many rows x nodes x groups, so each of the call's six reused
+# (rows, nodes) float64 work buffers holds at most this / groups elements
+# (three groups: 1.9 MB for all six on the default rule).  Values do not
+# depend on it (the sum is row-wise).  Measured on a 2-core Xeon (2 MB L2),
+# p_max(100, .35) plus p_max(200, .25) at k = 2, medians of 4 processes:
+# 31,250 0.109 s, 62,500 0.101, 125,000 0.103, 250,000 0.109, 500,000 0.115,
+# 1e6 0.132 s; peak RSS 34.4 MB up to 125,000, 48.9 MB at 1e6.
 _CHUNK_ELEMENTS = 125_000
 
 
@@ -77,46 +81,73 @@ DEFAULT_SETTINGS = QuadratureSettings()
 
 
 @lru_cache(maxsize=16)
-def _nodes_weights(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [0, pi/2], read-only."""
+def _rule(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, ...]:
+    """Composite Gauss-Legendre nodes u and weights on [0, pi/2], with sin(u)
+    and sin(u)^2; all read-only."""
     xi, w = np.polynomial.legendre.leggauss(nodes_per_panel)
     h = (math.pi / 2.0) / panels
     starts = h * np.arange(panels)
     u = (starts[:, None] + 0.5 * h * (xi[None, :] + 1.0)).ravel()
     wu = np.broadcast_to(0.5 * h * w, (panels, nodes_per_panel)).ravel().copy()
-    u.flags.writeable = False
-    wu.flags.writeable = False
-    return u, wu
+    sin_u = np.sin(u)
+    rule = (u, wu, sin_u, sin_u * sin_u)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _nodes_weights(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes/weights on [0, pi/2], read-only."""
+    return _rule(panels, nodes_per_panel)[:2]
 
 
 def _tail_quadrature(
     x: np.ndarray, n: np.ndarray, t: np.ndarray, tau: float, m: int, settings: QuadratureSettings
 ) -> np.ndarray:
-    """Evaluate the substituted integral for grouped rows (x, n) with endpoints t."""
-    u, wu = _nodes_weights(settings.panels, settings.nodes_per_panel)
-    sin_u = np.sin(u)
-    out = np.empty(x.shape[0])
-    chunk = max(1, _CHUNK_ELEMENTS // (u.size * x.shape[1]))
-    for start in range(0, x.shape[0], chunk):
+    """Evaluate the substituted integral for grouped rows (x, n) with endpoints t.
+
+    The six work buffers belong to the call, not the module, so that calls
+    may run in several threads at once.
+    """
+    _, wu, sin_u, sin2_u = _rule(settings.panels, settings.nodes_per_panel)
+    rows, groups = x.shape
+    out = np.empty(rows)
+    chunk = max(1, min(rows, _CHUNK_ELEMENTS // (wu.size * groups)))
+    work = np.empty((6, chunk, wu.size))
+    for start in range(0, rows, chunk):
         xb, nb, tb = (arr[start : start + chunk] for arr in (x, n, t))
-        s = tb[:, None] * (sin_u * sin_u)[None, :]             # (B, N)
-        log_s = np.log(s)
+        s, log_s, xs, term, log_q, ratio_sum = work[:, : tb.size]
+        np.multiply(tb[:, None], sin2_u, out=s)
+        np.log(s, out=log_s)
         a = nb * ((1.0 + tau * xb) / (xb + tb[:, None]))       # (B, D): n_j a_j
         # PQ = Q * sum_j n_j a_j/(x_j + s): the ratio sum stays well inside
         # float range (each term is between ~(x_max + t)^-2 and ~m/(t*s)),
-        # so only Q itself needs log-space accumulation.
-        log_q = ratio_sum = 0.0  # groups left to right, as np.sum adds a short axis
-        for j in range(xb.shape[1]):  # a group 0 in every row reuses s: 0 + s == s
-            xs = xb[:, j, None] + s if xb[:, j].any() else s
-            log_q = log_q + nb[:, j, None] * (log_s if xs is s else np.log(xs))
-            ratio_sum = ratio_sum + a[:, j, None] / xs
-        log_pq = log_q + np.log(ratio_sum)
-        log_u_term = (0.5 * m - 1.0) * log_s - 0.5 * log_pq
-        integrand = 2.0 * np.sqrt(tb)[:, None] * sin_u[None, :] * np.exp(log_u_term)
+        # so only Q itself needs log-space accumulation.  Groups are added
+        # left to right, as np.sum adds a short axis.
+        for j in range(groups):
+            if xb[:, j].any():
+                xs_j = np.add(xb[:, j, None], s, out=xs)
+                log_xs = np.log(xs, out=term)
+            else:  # a group 0 in every row reuses s: 0 + s == s
+                xs_j, log_xs = s, log_s
+            # the first group is written, not added to 0.0: that could only
+            # flip the sign of a zero, which the + log(ratio_sum) below erases
+            if j == 0:
+                np.multiply(nb[:, 0, None], log_xs, out=log_q)
+                np.divide(a[:, 0, None], xs_j, out=ratio_sum)
+            else:
+                np.add(log_q, np.multiply(nb[:, j, None], log_xs, out=term), out=log_q)
+                np.add(ratio_sum, np.divide(a[:, j, None], xs_j, out=term), out=ratio_sum)
+        np.add(log_q, np.log(ratio_sum, out=ratio_sum), out=log_q)     # log PQ
+        np.multiply(0.5 * m - 1.0, log_s, out=log_s)
+        np.multiply(0.5, log_q, out=log_q)
+        np.exp(np.subtract(log_s, log_q, out=log_s), out=log_s)        # U(x, s)
+        np.multiply((2.0 * np.sqrt(tb))[:, None], sin_u, out=xs)
+        np.multiply(np.multiply(xs, log_s, out=xs), wu, out=xs)
         # a row-wise sum, not a BLAS matrix-vector product: a row's value must
         # not depend on the batch it is evaluated in
-        out[start : start + chunk] = np.sum(integrand * wu, axis=1) / math.pi
-    return out
+        np.sum(xs, axis=1, out=out[start : start + chunk])
+    return np.divide(out, math.pi, out=out)
 
 
 def _tails_for_gamma_rows(

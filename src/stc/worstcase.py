@@ -218,9 +218,11 @@ def _boundary_rows(m: int, rho: float, m1, m0, gamma) -> tuple[np.ndarray, np.nd
     is merged into that group (free count 0), so that equal ratio vectors
     give bit-identical rows and ties fall to the first branch in order.
     """
-    m1, m0, gamma = np.broadcast_arrays(*map(np.atleast_1d, (m1, m0, gamma)))
-    values = np.stack(np.broadcast_arrays(1.0 / rho, 0.0, gamma), axis=1).astype(np.float64)
-    counts = np.stack([m1, m0, m - m1 - m0], axis=1).astype(np.float64)
+    rows = np.broadcast(m1, m0, gamma).size  # raises where the shapes do not broadcast
+    values, counts = np.empty((rows, 3)), np.empty((rows, 3))
+    values[:, 0], values[:, 1], values[:, 2] = 1.0 / rho, 0.0, gamma
+    counts[:, 0], counts[:, 1] = m1, m0
+    counts[:, 2] = m - counts[:, 0] - counts[:, 1]
     merge = values[:, :2] == values[:, 2:]  # at most one pinned group per row
     counts[:, :2] += merge * counts[:, 2:]
     counts[merge.any(axis=1), 2] = 0.0

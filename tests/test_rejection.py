@@ -1,5 +1,8 @@
 """Tail integral P0[|T_m| > c] against closed forms and Monte Carlo."""
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -136,6 +139,66 @@ def test_batch_rows_match_single_calls(monkeypatch):
     default = p_max(6, 2.5, spec)
     monkeypatch.setattr(stc.rejection, "_CHUNK_ELEMENTS", 1)
     assert p_max(6, 2.5, spec) == default
+
+
+def _multi_chunk_rows(seed, rule, chunks=3):
+    # grouped boundary rows (three groups) for at least `chunks` full kernel chunks
+    rng = np.random.default_rng(seed)
+    per_chunk = _CHUNK_ELEMENTS // (rule.panels * rule.nodes_per_panel * 3)
+    m1 = rng.integers(1, 10, size=chunks * per_chunk + 7)
+    m0 = rng.integers(0, 10 - m1)
+    return _boundary_rows(9, 1.5, m1, m0, rng.uniform(0.0, 3.0, size=m1.size)), per_chunk
+
+
+@pytest.mark.parametrize("rule", [_PROBE_SETTINGS, DEFAULT_SETTINGS], ids=["probe", "default"])
+def test_kernel_working_set_is_six_reused_buffers(rule):
+    # one kernel call allocates its six (chunk, nodes) work buffers once and
+    # writes every step into them: its traced peak stays within 7 chunk-sized
+    # float64 arrays however many chunks the batch has (a kernel that
+    # allocates a temporary per step peaks at about 10)
+    (values, counts), per_chunk = _multi_chunk_rows(5, rule)
+    c, m = 2.2, 9
+    kappa = m * c * c / (m - 1)
+    tau = (kappa + 1.0) / (m * kappa)
+    x = kappa * values * values
+    t = _roots_batch(x, counts, tau, m)
+    _tail_quadrature(x, counts, t, tau, m, rule)  # builds the cached nodes
+    tracemalloc.start()
+    try:
+        _tail_quadrature(x, counts, t, tau, m, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_array = per_chunk * rule.panels * rule.nodes_per_panel * 8
+    assert chunk_array < peak <= 7 * chunk_array
+
+
+def test_concurrent_kernel_calls_match_serial_ones():
+    # numpy releases the interpreter lock inside each step, so two kernel
+    # calls in two threads run at once: they must not share a work buffer
+    batches = [_multi_chunk_rows(seed, DEFAULT_SETTINGS)[0] for seed in (11, 12)]
+    serial = [_tails_for_gamma_rows(v, 2.2, counts=n) for v, n in batches]
+    start = threading.Barrier(2, timeout=60)
+    results = [[], []]
+
+    def work(i):
+        start.wait()
+        for _ in range(5):
+            results[i].append(_tails_for_gamma_rows(batches[i][0], 2.2, counts=batches[i][1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got, want in zip(results, serial):
+        assert len(got) == 5 and all(np.array_equal(g, want) for g in got)
 
 
 def test_overflowing_ratio_is_one_numerical_failure():

@@ -95,6 +95,42 @@ def test_p_bar_matches_direct_tail():
     assert p_bar(m, c, rho, 1.3, m1=2, m0=1) == pytest.approx(direct, rel=1e-12)
 
 
+def _stacked_boundary_rows(m, rho, m1, m0, gamma):
+    # `_boundary_rows` as it was built before it assigned columns, kept as
+    # the oracle: broadcast, stack, then cast
+    m1, m0, gamma = np.broadcast_arrays(*map(np.atleast_1d, (m1, m0, gamma)))
+    values = np.stack(np.broadcast_arrays(1.0 / rho, 0.0, gamma), axis=1).astype(np.float64)
+    counts = np.stack([m1, m0, m - m1 - m0], axis=1).astype(np.float64)
+    merge = values[:, :2] == values[:, 2:]
+    counts[:, :2] += merge * counts[:, 2:]
+    counts[merge.any(axis=1), 2] = 0.0
+    return values, counts
+
+
+@pytest.mark.parametrize("m1, m0, gamma", [
+    (3, 1, 0.7),                                         # scalars
+    (np.int64(2), np.int64(0), np.float64(0.5)),         # numpy scalars, gamma = 1/rho
+    ((3, 4, 10), (1, 0, 0), 0.0),                        # tuples, as `_branch_traces` sends
+    (np.arange(5), np.array([0, 1, 0, 2, 0]), np.linspace(0.0, 2.0, 5)),
+    (np.arange(1, 6), 0, np.array([0.5, 0.1, 0.5, 0.0, 3.0])),   # mixed; merges into both groups
+    (4, np.array([0, 1]), np.array([0.5, 0.2])),
+    (np.array([], dtype=int), np.array([], dtype=int), 0.3),     # no rows
+], ids=["scalars", "numpy-scalars", "tuples", "arrays", "mixed", "scalar-m1", "empty"])
+def test_boundary_rows_match_the_stacked_construction(m1, m0, gamma):
+    got = _boundary_rows(10, 2.0, m1, m0, gamma)
+    want = _stacked_boundary_rows(10, 2.0, m1, m0, gamma)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_boundary_rows_refuse_shapes_that_do_not_broadcast():
+    for m1, m0, gamma in (((1, 2), (0, 0, 0), 0.5), (np.arange(2), 0, np.ones(3))):
+        with pytest.raises(ValueError):
+            _boundary_rows(10, 2.0, m1, m0, gamma)
+
+
 def test_p_bar_continuity_at_pinned_ratio():
     # sending the free ratio to rho^{-1} merges into the fully pinned branch
     m, c, rho = 6, 2.5, 2.0
