@@ -34,7 +34,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .distributions import normal_quantile, t_quantile, t_two_sided_tail
 from .errors import (InvalidParameterError, NoValidCriticalValueError, NumericalFailureError,
-                     StcError, as_integer)
+                     as_integer)
 from .worstcase import (Boundary, HeterogeneitySpec, WorstCaseResult, _branch_value, _h_bar_domain,
                         h_bar, p_max)
 
@@ -105,7 +105,7 @@ def _certified_first_true(p_at, branch_at, start, alpha: float, rising: bool,
             return None
         at_most, beyond = found if rising else found[::-1]
         cert = p_at(at_most)
-        if cert.diagnostics.complete and cert.value <= alpha:
+        if cert.value <= alpha:
             break
         cfg = cert.achieving_config
         branch = (cfg.m1, cfg.m0) if isinstance(cfg, Boundary) else None
@@ -182,7 +182,7 @@ class CriticalValueResult:
         worst_case: full worst-case evaluation at cv.
         iterations: p_max calls inside the certified bracket (1 on the
             Optimized path, 0 for the closed form or a lowest-c hit).
-        p_max_calls: (complete, early-exit) `p_max` calls made.
+        p_max_calls: (complete, incomplete: above alpha) `p_max` calls made.
     """
 
     cv: float
@@ -220,7 +220,7 @@ def critical_value(m: int, alpha: float, spec: HeterogeneitySpec) -> CriticalVal
         raise InvalidParameterError(f"spec.m={spec.m} does not match m={m}")
     k, rho = spec.k, spec.rho
 
-    calls = [0, 0]  # complete and early-exit p_max calls
+    calls = [0, 0]  # complete and incomplete (above alpha) p_max calls
 
     def p_at(c: float, stop_above: float | None = alpha) -> WorstCaseResult:
         res = p_max(m, c, spec, stop_above=stop_above)
@@ -304,7 +304,7 @@ def _table_cell(args: tuple) -> TableCell:
     try:
         res = critical_value(m, alpha, HeterogeneitySpec(m=m, k=k, rho=rho))
         return TableCell(alpha, m, rho, res.cv, res.method, None)
-    except StcError as exc:  # a cell the library cannot solve must not kill the grid
+    except (NoValidCriticalValueError, NumericalFailureError) as exc:  # unsolvable: not fatal
         return TableCell(alpha, m, rho, None, None, f"{type(exc).__name__}: {exc}")
 
 
@@ -317,8 +317,9 @@ def generate_table(
 ) -> Table:
     """Grid of critical values over alphas x rhos x ms at a fixed k.
 
-    Cells are independent; a library error (`StcError`) is recorded in its
-    cell, while any other exception propagates.  ``workers`` > 1
+    Cells are independent; an unsolvable cell (`NoValidCriticalValueError`,
+    `NumericalFailureError`) records its error, and any other exception
+    propagates, `InvalidParameterError` among them.  ``workers`` > 1
     evaluates cells in a process pool (deterministic output order).
     """
     jobs = [

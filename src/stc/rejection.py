@@ -96,11 +96,6 @@ def _rule(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, ...]:
     return rule
 
 
-def _nodes_weights(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [0, pi/2], read-only."""
-    return _rule(panels, nodes_per_panel)[:2]
-
-
 def _tail_quadrature(
     x: np.ndarray, n: np.ndarray, t: np.ndarray, tau: float, m: int, settings: QuadratureSettings
 ) -> np.ndarray:

@@ -10,8 +10,8 @@ Two families of data-generating processes are provided:
     treated cluster's innovation scale multiplied by sigma.  Each cluster's
     effect is the post-minus-pre mean difference the designs module's
     TwoWayFE extractor computes.  That estimate is a fixed linear map of the
-    cluster's innovations, so it is computed as one product of the draws
-    with a per-design weight vector, without building the panel; tests
+    cluster's innovations, so it is computed as a row-wise sum of the draws
+    times a per-design weight vector, without building the panel; tests
     check it against the full panels ``_twfe_outcomes`` builds.
 
 Randomness is counter-based: replication r reads from a Philox stream
@@ -198,7 +198,7 @@ def _cores() -> int:
 def _fill_chunks(out: np.ndarray, chunk_rows) -> np.ndarray:
     """``out`` with the rows of each chunk set to chunk_rows(chunk, rows), on
     one thread per core.  Each chunk writes only its own rows, and its numpy
-    work (Philox fills, the product, ufuncs) releases the GIL, so the bits do
+    work (Philox fills, row-wise sums, ufuncs) releases the GIL, so the bits do
     not depend on the thread count.  The first exception, in chunk order,
     propagates once the running chunks finish; the rest are cancelled."""
     def fill(chunk, rows):
@@ -247,12 +247,10 @@ def normal_means_t_statistics(
 
 
 def _twfe_draws(design: TwfeDesign, rows: int, rng: np.random.Generator) -> np.ndarray:
-    """A chunk's raw variates: normals, normal pairs (dgp 4) or uniforms
-    (dgp 5), drawn for its first ``rows`` rows; the other rows are zero."""
-    draws = np.empty((_CHUNK_ROWS, design.m + 1, design.periods + 1) + ((2,) if design.dgp == 4 else ()))
-    draws[rows:] = 0.0
-    (rng.random if design.dgp == 5 else rng.standard_normal)(out=draws[:rows])
-    return draws
+    """A chunk's raw variates for ``rows`` rows: normals, normal pairs (dgp 4)
+    or uniforms (dgp 5)."""
+    shape = (rows, design.m + 1, design.periods + 1) + ((2,) if design.dgp == 4 else ())
+    return rng.random(shape) if design.dgp == 5 else rng.standard_normal(shape)
 
 
 def _ar1_levels(v: np.ndarray, eta: float) -> np.ndarray:
@@ -271,7 +269,7 @@ def _twfe_outcomes(design: TwfeDesign, rows: int, rng: np.random.Generator) -> n
     This defines the panel DGP; ``twfe_theta_hats`` reads the same draws
     through ``_twfe_linear_map`` instead of building the panel.
     """
-    v = _twfe_draws(design, rows, rng)[:rows]
+    v = _twfe_draws(design, rows, rng)
     if design.dgp == 4:
         v = (np.square(v).sum(axis=-1) - 2.0) / 2.0
     elif design.dgp == 5:
@@ -285,8 +283,8 @@ def _twfe_outcomes(design: TwfeDesign, rows: int, rng: np.random.Generator) -> n
 
 
 def _twfe_linear_map(design: TwfeDesign) -> tuple[np.ndarray, float]:
-    """(weights, offset): a cluster's estimate before sigma and theta is
-    draws @ weights + offset.
+    """(weights, offset): a cluster's estimate before sigma and theta is the
+    row-wise sum of draws * weights, plus offset.
 
     The post-minus-pre mean of the AR(1) levels is linear in the cluster's
     periods+1 innovations, with weights w from running the recursion on the
@@ -318,16 +316,15 @@ def twfe_theta_hats(design: TwfeDesign, reps: int, seed: int) -> np.ndarray:
 
 
 def _twfe_chunk_thetas(design: TwfeDesign, seed: int):
-    """chunk_thetas(chunk, rows): a chunk's (rows, m+1) estimates.  The
-    product runs on a full chunk, the unused rows zero, because BLAS blocks
-    a product's rows by its length: so each row keeps a full chunk's bits."""
+    """chunk_thetas(chunk, rows): a chunk's (rows, m+1) estimates.  Each is a
+    row-wise sum, with no BLAS call, so its bits depend on its row alone."""
     weights, offset = _twfe_linear_map(design)
 
     def chunk_thetas(chunk, rows):
         draws = _twfe_draws(design, rows, _chunk_generator(seed, chunk))
         if design.dgp == 4:
             np.square(draws, out=draws)
-        theta = (draws.reshape(-1, weights.size) @ weights).reshape(_CHUNK_ROWS, -1)[:rows]
+        theta = np.einsum("ij,j->i", draws.reshape(-1, weights.size), weights).reshape(rows, -1)
         theta += offset
         theta[:, -1] *= design.sigma
         theta[:, -1] += design.theta

@@ -64,9 +64,8 @@ _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 # own (tests/test_quadrature_oracle.py), probes were within 1.5e-8 of the
 # exact tail wherever it is at most 0.5, and within 1.2e-5 at tails near 1
 # (the default rule: 2.6e-10 and 7.9e-8).  Probe error never reaches a
-# reported value: every branch value, and the certificate of an early exit,
-# is re-evaluated on DEFAULT_SETTINGS; probes only choose the gamma at which
-# that happens.
+# reported value: every branch value is re-evaluated on DEFAULT_SETTINGS;
+# probes only choose the gamma at which that happens.
 _PROBE_SETTINGS = QuadratureSettings(panels=16, nodes_per_panel=16)
 
 
@@ -122,9 +121,9 @@ class BranchTrace:
 class WorstCaseDiagnostics:
     """Per-branch traces plus the zero-treated branch and degeneracy flag.
 
-    ``complete`` is False when the search stopped early because the running
-    maximum already exceeded a caller-supplied threshold; the value is then
-    a certified lower bound rather than the exact maximum.
+    ``complete`` is False only when the value exceeds `p_max`'s
+    ``stop_above``: a certified lower bound, exact unless the search stopped
+    before the free branches, at the zero-treated value or the fixed ones.
     """
 
     degenerate: bool
@@ -310,8 +309,8 @@ def _branch_traces(m: int, c: float, k: int, rho: float, pairs: list[tuple[int, 
     the closed-form tail with n_evals = 0, is returned alone; no kernel runs.
     Otherwise a fixed branch is one default-rule row; the free ones go to one
     `_optimize_gamma_branches` search.  With ``stop_above`` set, the free
-    search is skipped when a fixed value is already above it, and may itself
-    exit early (one trace above ``stop_above``).
+    search is skipped, and only the fixed traces return, when a fixed value
+    is already above it; otherwise every pair's trace returns.
     """
     if k == 1 and m >= 4 and rho > 0 and (m, 0) in pairs and c > _h_bar_domain(m) \
             and h_bar(m, c, rho) <= 0.0:
@@ -329,7 +328,7 @@ def _branch_traces(m: int, c: float, k: int, rho: float, pairs: list[tuple[int, 
         if stop_above is not None and vals.max() > stop_above:
             return traces
     if free:
-        traces += _optimize_gamma_branches(m, c, rho, free, stop_above)
+        traces += _optimize_gamma_branches(m, c, rho, free)
     return traces
 
 
@@ -433,7 +432,6 @@ def _optimize_gamma_branches(
     c: float,
     rho: float,
     branches: list[tuple[int, int, float]],
-    stop_above: float | None,
 ) -> list[BranchTrace]:
     """Maximize p_bar over gamma for several (m1, m0) branches in lock-step.
 
@@ -443,8 +441,7 @@ def _optimize_gamma_branches(
     default rule and reports the best.  Every step evaluates one probe per
     unfinished search in a single kernel call; a search's probes depend only
     on its own values, so a branch's trace is the same in any group.
-    Returns one trace per branch, or, when the grid phase already certified
-    a value above ``stop_above``, that single confirmed trace.
+    Returns one trace per branch.
     """
     n = len(branches)
     m1s, m0s, _ = (np.array(col) for col in zip(*branches))
@@ -459,15 +456,6 @@ def _optimize_gamma_branches(
     offsets = np.concatenate([[0], np.cumsum(n_evals)])
     gammas = np.concatenate(cand_sets)
     grid_vals = tails(np.repeat(np.arange(n), n_evals), gammas, _PROBE_SETTINGS)
-
-    if stop_above is not None:
-        top = int(np.argmax(grid_vals))
-        if grid_vals[top] > stop_above:
-            i = int(np.searchsorted(offsets, top, side="right")) - 1
-            m1, m0, rl = branches[i]
-            confirmed = float(tails(i, gammas[top], DEFAULT_SETTINGS)[0])
-            if confirmed > stop_above:
-                return [BranchTrace(m1, m0, rl, float(gammas[top]), confirmed, int(n_evals[i]) + 1)]
 
     owners, searches = [], []  # one Brent search per peak of a branch's grid
     for i, cs in enumerate(cand_sets):
@@ -526,10 +514,13 @@ def p_max(
     between the zero-treated branch and a boundary branch report the
     boundary branch.
 
-    ``stop_above`` allows the caller to ask only whether the maximum exceeds
-    a threshold: the search returns early (diagnostics.complete = False,
-    value a certified lower bound) once that is established.  The certified
-    inversions use this; exact values always pass stop_above = None.
+    ``stop_above`` asks only whether the maximum exceeds a threshold.  The
+    search stops early only before any free branch is searched: at the
+    zero-treated value (no traces) or the fixed branches (their traces
+    alone), when one exceeds it; otherwise the result is the unthresholded
+    one.  diagnostics.complete is False only when the value exceeds
+    stop_above.  The certified inversions use this; exact values always pass
+    stop_above = None.
     """
     m, c = _validate_mc(m, c)
     if spec.m != m:

@@ -932,6 +932,18 @@ def test_f6_formatting():
     assert _f6(0.05) == 0.05
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--alphas", "0.7", "--ms", "5", "--rhos", "1"], "alpha must lie in (0, 0.5), got 0.7"),
+    (["--alphas", "0.05", "--ms", "5", "--rhos", "1", "--k", "0"], "k must lie in 1..5, got 0"),
+    (["--alphas", "0.05", "--ms", "1,5", "--rhos", "1"], "m must be >= 2, got 1"),
+    (["--alphas", "0.05", "--ms", "5", "--rhos", "-1"], "rho must be finite and >= 0, got -1.0"),
+])
+def test_table_refuses_invalid_parameters(capsys, argv, message):
+    # an invalid grid is a usage error, not an ERROR cell, as in `stc cv`
+    code, out, err = _run(capsys, ["table", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_workers_env_cap(monkeypatch, capsys):
     from argparse import Namespace
 

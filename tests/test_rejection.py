@@ -18,7 +18,7 @@ from stc.rejection import (
     _CHUNK_ELEMENTS,
     DEFAULT_SETTINGS,
     QuadratureSettings,
-    _nodes_weights,
+    _rule,
     _tail_quadrature,
     _tails_for_gamma_rows,
     rejection_probability,
@@ -305,7 +305,7 @@ def _axis_sum_tail_quadrature(x, n, t, tau, m, settings):
     # the tail kernel as it was before it summed group by group, kept as an
     # oracle: one (rows, nodes, groups) array per chunk, reduced by np.sum
     # over the group axis
-    u, wu = _nodes_weights(settings.panels, settings.nodes_per_panel)
+    u, wu = _rule(settings.panels, settings.nodes_per_panel)[:2]
     sin_u = np.sin(u)
     sin2_u = sin_u * sin_u
     out = np.empty(x.shape[0])

@@ -24,6 +24,7 @@ from stc.simulate import (  # white-box checks
     _CHUNK_ROWS,
     _chunk_generator,
     _normal_means_thetas,
+    _twfe_chunk_thetas,
     _twfe_draws,
     _twfe_outcomes,
 )
@@ -161,13 +162,18 @@ def test_twfe_prefix_property():
 
 
 def test_a_short_chunk_draws_a_full_chunks_first_rows():
-    # Philox fills are sequential: 577 rows are the first 577 of 4,096
-    rows = 577
+    # Philox fills are sequential, and each TWFE estimate is a row-wise sum:
+    # a chunk of any length is the first rows of a full chunk, bit for bit
     for dgp in (1, 4, 5):
-        design = TwfeDesign(dgp=dgp, m=10)
+        design = TwfeDesign(dgp=dgp, m=10, sigma=1.3, theta=0.2)
         full = _twfe_draws(design, _CHUNK_ROWS, _chunk_generator(8, 3))
-        short = _twfe_draws(design, rows, _chunk_generator(8, 3))
-        assert np.array_equal(short[:rows], full[:rows]) and not short[rows:].any()
+        thetas = _twfe_chunk_thetas(design, 8)
+        full_thetas = thetas(3, _CHUNK_ROWS)
+        for rows in (1, 577, _CHUNK_ROWS):
+            short = _twfe_draws(design, rows, _chunk_generator(8, 3))
+            assert short.shape[0] == rows and np.array_equal(short, full[:rows])
+            assert np.array_equal(thetas(3, rows), full_thetas[:rows])
+    rows = 577
     sigmas = np.linspace(0.5, 2.0, 11)
     full = _normal_means_thetas(_CHUNK_ROWS, _chunk_generator(8, 3), sigmas, 0.3)
     assert np.array_equal(_normal_means_thetas(rows, _chunk_generator(8, 3), sigmas, 0.3), full[:rows])

@@ -366,15 +366,47 @@ def test_stop_above_exits_early_in_its_one_pass():
     assert early.diagnostics.branches == fixed
     assert all(tr.n_evals == 1 for tr in fixed)
     assert early.value == top_fixed
-    # between the two: the free search's grid phase certifies it and adds
-    # exactly one free trace
+    # between the two: the free search runs to the end, so every branch's
+    # trace comes back, the same as without a threshold
     threshold = 0.5 * (top_fixed + top_free)
-    early = p_max(m, c, spec, stop_above=threshold)
-    assert not early.diagnostics.complete
-    assert tuple(tr for tr in early.diagnostics.branches if tr.gamma is None) == fixed
-    (added,) = (tr for tr in early.diagnostics.branches if tr.gamma is not None)
-    assert early.value == added.value > threshold
-    assert early.achieving_config == Boundary(added.m1, added.m0, added.gamma)
+    late = p_max(m, c, spec, stop_above=threshold)
+    assert not late.diagnostics.complete
+    assert late.diagnostics.branches == exact.diagnostics.branches
+    assert (late.value, late.achieving_config) == (exact.value, exact.achieving_config)
+
+
+def _stop_above_cases():
+    rng = np.random.default_rng(28)
+    for _ in range(10):
+        m = int(rng.integers(2, 11))
+        k = int(rng.integers(1, m + 1))
+        rho = float(10.0 ** rng.uniform(-1.0, 1.0))
+        c = m**-0.5 * math.exp(rng.uniform(math.log(1.2), math.log(12.0)))
+        yield m, k, rho, c
+
+
+@pytest.mark.parametrize("m, k, rho, c", list(_stop_above_cases()))
+def test_stop_above_stops_only_before_the_free_branches(m, k, rho, c):
+    # a threshold either stops p_max at the zero-treated value or at the
+    # fixed branches (their traces alone), or leaves the unthresholded call
+    spec = HeterogeneitySpec(m=m, k=k, rho=rho)
+    exact = p_max(m, c, spec)
+    fixed = {tr for tr in exact.diagnostics.branches if tr.gamma is None}
+    levels = sorted({exact.value, exact.diagnostics.zero_treated_value}
+                    | {tr.value for tr in exact.diagnostics.branches})
+    thresholds = [0.5 * levels[0], *(0.5 * (a + b) for a, b in zip(levels, levels[1:])),
+                  *levels, exact.value + 0.1]
+    for t in thresholds:
+        res = p_max(m, c, spec, stop_above=t)
+        got = res.diagnostics.branches
+        assert res.diagnostics.complete == (res.value <= t), t
+        if not got:
+            assert res.value == exact.diagnostics.zero_treated_value > t
+        elif set(got) <= fixed and got != exact.diagnostics.branches:
+            assert res.value == max(tr.value for tr in got) > t
+        else:
+            assert got == exact.diagnostics.branches, t
+            assert (res.value, res.achieving_config) == (exact.value, exact.achieving_config)
 
 
 def test_branch_budget_respected():
@@ -397,7 +429,7 @@ def test_p_max_branches_match_single_branch_p_tilde():
         assert len(free) >= 2
         for tr in free:
             assert p_tilde(m, c, k, rho, tr.m1, tr.m0) == pytest.approx(tr.value, abs=1e-12)
-            (alone,) = _optimize_gamma_branches(m, c, rho, [(tr.m1, tr.m0, tr.rho_lower)], None)
+            (alone,) = _optimize_gamma_branches(m, c, rho, [(tr.m1, tr.m0, tr.rho_lower)])
             assert alone.n_evals == tr.n_evals
             assert alone.gamma == tr.gamma
 
@@ -430,7 +462,7 @@ def test_dense_gamma_sweep_backs_the_coarse_grid():
             for m1, m0 in _branch_order(m, k)
             if m1 + m0 < m
         ]
-        traces = _optimize_gamma_branches(m, c, rho, branches, None)
+        traces = _optimize_gamma_branches(m, c, rho, branches)
         for (m1, m0, rho_lower), trace in zip(branches, traces):
             gammas = np.geomspace(max(rho_lower, 1e-6), 1e4 * max(1.0, 1.0 / rho), 300)
             if rho_lower == 0.0 and m1 > 0:
