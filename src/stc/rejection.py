@@ -54,8 +54,8 @@ __all__ = ["QuadratureSettings", "rejection_probability"]
 # (three groups: 1.9 MB for all six on the default rule).  Values do not
 # depend on it (the sum is row-wise).  Measured on a 2-core Xeon (2 MB L2),
 # p_max(100, .35) plus p_max(200, .25) at k = 2, medians of 4 processes:
-# 31,250 0.109 s, 62,500 0.101, 125,000 0.103, 250,000 0.109, 500,000 0.115,
-# 1e6 0.132 s; peak RSS 34.4 MB up to 125,000, 48.9 MB at 1e6.
+# 31,250 0.092 s, 62,500 0.097, 125,000 0.084, 250,000 0.090, 500,000 0.104,
+# 1e6 0.114 s; peak RSS 35.1 MB up to 62,500, 36.1 at 125,000, 49.5 at 1e6.
 _CHUNK_ELEMENTS = 125_000
 
 

@@ -25,7 +25,10 @@ costs one vectorized tail evaluation for the whole group.  One producer,
 `_branch_traces`, hands it the free branches of `p_max` (all in one group),
 `p_tilde` and the inversions' `_branch_value` (one branch each).  The tail
 kernel's values do not depend on the batch a row is evaluated in, so a
-branch's trace is the same either way.
+branch's trace is the same either way.  At a domain end a branch's row is
+one of the k fixed configurations (free count 0), which many branches name:
+a kernel call evaluates each such configuration once, and a search that
+ends on one takes `p_max`'s own fixed-branch value rather than a new row.
 
 At k = 1 (m >= 4, rho > 0), wherever the validity function h_bar(m, c, rho)
 is <= 0, the worst case is the all-equal branch (m, 0), every control at
@@ -215,7 +218,10 @@ def _boundary_rows(m: int, rho: float, m1, m0, gamma) -> tuple[np.ndarray, np.nd
     Row i has values [rho^{-1}, 0, gamma[i]] with counts
     [m1[i], m0[i], m - m1[i] - m0[i]].  A free ratio equal to a pinned value
     is merged into that group (free count 0), so that equal ratio vectors
-    give bit-identical rows and ties fall to the first branch in order.
+    give bit-identical rows and ties fall to the first branch in order.  A
+    merged row is a fixed configuration, set by its count at 1/rho whatever
+    its inert free value, so `_optimize_gamma_branches` evaluates it once
+    per kernel call for all the branches that name it.
     """
     rows = np.broadcast(m1, m0, gamma).size  # raises where the shapes do not broadcast
     values, counts = np.empty((rows, 3)), np.empty((rows, 3))
@@ -328,7 +334,7 @@ def _branch_traces(m: int, c: float, k: int, rho: float, pairs: list[tuple[int, 
         if stop_above is not None and vals.max() > stop_above:
             return traces
     if free:
-        traces += _optimize_gamma_branches(m, c, rho, free)
+        traces += _optimize_gamma_branches(m, c, rho, free, {tr.m1: tr.value for tr in traces})
     return traces
 
 
@@ -432,6 +438,7 @@ def _optimize_gamma_branches(
     c: float,
     rho: float,
     branches: list[tuple[int, int, float]],
+    fixed: dict[int, float] | None = None,
 ) -> list[BranchTrace]:
     """Maximize p_bar over gamma for several (m1, m0) branches in lock-step.
 
@@ -440,15 +447,29 @@ def _optimize_gamma_branches(
     by the peak's two neighbours, then evaluates each search's result on the
     default rule and reports the best.  Every step evaluates one probe per
     unfinished search in a single kernel call; a search's probes depend only
-    on its own values, so a branch's trace is the same in any group.
-    Returns one trace per branch.
+    on its own values, so a branch's trace is the same in any group.  A
+    domain end merges the free group into a pinned one (`_boundary_rows`),
+    so many branches name the same fixed configuration there: a kernel call
+    evaluates each such configuration once, keyed by its count at 1/rho,
+    and ``fixed`` (count at 1/rho -> default-rule value) supplies the ones
+    the caller has already evaluated.  Returns one trace per branch.
     """
     n = len(branches)
     m1s, m0s, _ = (np.array(col) for col in zip(*branches))
+    known = {_PROBE_SETTINGS: {}, DEFAULT_SETTINGS: dict(fixed or {})}
 
     def tails(idx, gammas, rule):
         values, counts = _boundary_rows(m, rho, m1s[idx], m0s[idx], gammas)
-        return _tails_for_gamma_rows(values, c, rule, counts=counts)
+        merged = np.flatnonzero(counts[:, 2] == 0.0)  # fixed configurations
+        keys, first, inverse = np.unique(counts[merged, 0], return_index=True, return_inverse=True)
+        todo = merged[first[[key not in known[rule] for key in keys.tolist()]]]
+        send = np.concatenate([np.flatnonzero(counts[:, 2] > 0.0), todo])
+        out = np.empty(len(values))
+        if send.size:
+            out[send] = _tails_for_gamma_rows(values[send], c, rule, counts=counts[send])
+        known[rule].update(zip(counts[todo, 0].tolist(), out[todo].tolist()))
+        out[merged] = np.array([known[rule][key] for key in keys.tolist()])[inverse]
+        return out
 
     grids = {rl: _gamma_candidates(rho, rl) for rl in {rl for *_, rl in branches}}  # shared
     cand_sets = [grids[rl] for *_, rl in branches]

@@ -230,6 +230,33 @@ def test_zero_count_groups_are_inert():
         assert np.array_equal(_tails_for_gamma_rows(v, 2.5, counts=n), base)
 
 
+def test_an_empty_group_is_inert_whatever_its_value():
+    # p_max evaluates each fixed configuration once and hands its value to
+    # every branch that merges into it at a domain end, whose free value is
+    # 0 (gamma = 0) or 1/rho (gamma = 1/rho) where the fixed row holds 0: a
+    # count-0 group's value must leave the tail bit for bit as it is, on
+    # both rules, in a batch of several chunks and alone
+    m, rho, c = 12, 2.0, 2.4
+    m1 = np.arange(1, m + 1)
+    for rule in (_PROBE_SETTINGS, DEFAULT_SETTINGS):
+        per_chunk = _CHUNK_ELEMENTS // (rule.panels * rule.nodes_per_panel * 3)
+        reps = per_chunk // m + 1  # 2 * m * reps rows: more than two chunks
+        fixed = _boundary_rows(m, rho, np.tile(m1, reps), m - np.tile(m1, reps), 0.0)
+        no_m1 = _boundary_rows(m, rho, 0, np.tile(m1 - 1, reps), 0.8)  # count 0 at 1/rho
+        values, counts = (np.vstack(pair) for pair in zip(fixed, no_m1))
+        empty = counts == 0.0
+        assert empty.any(axis=1).all() and values.shape[0] > 2 * per_chunk
+        tails = []
+        for free in (0.0, 1.0 / rho, 3.7):
+            v = np.where(empty, free, values)
+            tails.append(_tails_for_gamma_rows(v, c, rule, counts=counts))
+            for i in (0, m - 1, values.shape[0] - 1):  # the last row is in the last chunk
+                alone = _tails_for_gamma_rows(v[i : i + 1], c, rule, counts=counts[i : i + 1])
+                assert alone[0] == tails[0][i]
+        assert all(np.array_equal(t, tails[0]) for t in tails)
+        assert np.all((tails[0] > 0.0) & (tails[0] < 1.0))
+
+
 def test_grouped_rows_match_expanded_rows():
     # grouped boundary rows against the same ratio vectors written out in m
     # columns with counts=None, on both the probe and the default rule

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stc.worstcase
 from stc.charpoly import GammaConfig
 from stc.critical_values import _closed_form_k1, c_underline
 from stc.distributions import t_quantile, t_two_sided_tail
@@ -20,6 +21,7 @@ from stc.worstcase import (
     _branch_order,
     _branch_traces,
     _branch_value,
+    _gamma_candidates,
     _optimize_gamma_branches,
     h_bar,
     p_bar,
@@ -421,17 +423,53 @@ def test_branch_budget_respected():
 def test_p_max_branches_match_single_branch_p_tilde():
     # p_max optimizes its free-ratio branches in one lock-step group; each
     # branch's trace must equal the branch optimized alone (p_tilde), with
-    # the same number of kernel evaluations
-    for m, k, rho, c in ((6, 2, 2.0, 2.5), (8, 3, 0.7, 3.0), (11, 2, 1.5, 2.2)):
+    # the same number of kernel evaluations.  At (25, k=2, rho=2, c=5.7556)
+    # every free branch ends on its lower domain end, so p_max reuses a
+    # fixed branch's value where p_tilde evaluates the branch's own row
+    cases = ((6, 2, 2.0, 2.5), (8, 3, 0.7, 3.0), (11, 2, 1.5, 2.2), (25, 2, 2.0, 5.7556))
+    for m, k, rho, c in cases:
         res = p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho))
         assert res.diagnostics.complete
         free = [tr for tr in res.diagnostics.branches if tr.gamma is not None]
         assert len(free) >= 2
+        if m == 25:
+            assert all(tr.gamma == tr.rho_lower for tr in free)
         for tr in free:
-            assert p_tilde(m, c, k, rho, tr.m1, tr.m0) == pytest.approx(tr.value, abs=1e-12)
+            assert p_tilde(m, c, k, rho, tr.m1, tr.m0) == tr.value
             (alone,) = _optimize_gamma_branches(m, c, rho, [(tr.m1, tr.m0, tr.rho_lower)])
             assert alone.n_evals == tr.n_evals
             assert alone.gamma == tr.gamma
+
+
+def test_each_configuration_reaches_the_kernel_once(monkeypatch):
+    # at a domain end a branch's row merges into one of the k fixed
+    # configurations (free count 0), set by its count at 1/rho.  A complete
+    # p_max sends each of them to a kernel call at most once, and a search
+    # that ends on one takes the fixed branch's value, not a new row
+    calls = []
+
+    def record(values, c, settings=None, counts=None):
+        calls.append((settings, np.array(counts)))
+        return _tails_for_gamma_rows(values, c, settings, counts=counts)
+
+    monkeypatch.setattr(stc.worstcase, "_tails_for_gamma_rows", record)
+    for m, c, k, rho in ((200, 2.6, 2, 1.0), (25, 5.7556, 2, 2.0), (25, 4.0, 25, 0.5),
+                         (10, 1.0, 4, 3.0)):
+        calls.clear()
+        res = p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho))
+        assert res.diagnostics.complete
+        (rule, fixed), *search = calls
+        assert rule == DEFAULT_SETTINGS and fixed.shape[0] == k and np.all(fixed[:, 2] == 0.0)
+        for rule, counts in calls:
+            keys = counts[counts[:, 2] == 0.0, 0]
+            assert keys.size == np.unique(keys).size
+        for rule, counts in search:
+            assert rule != DEFAULT_SETTINGS or np.all(counts[:, 2] > 0.0)
+        if m == 200:
+            free = [tr for tr in res.diagnostics.branches if tr.gamma is not None]
+            logical = sum(_gamma_candidates(rho, tr.rho_lower).size for tr in free)
+            assert (logical, search[0][1].shape[0]) == (6808, 6410)
+            assert all(rule != DEFAULT_SETTINGS for rule, _ in search)
 
 
 def _dense_sweep_cases():
