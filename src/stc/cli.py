@@ -16,11 +16,14 @@ decimal, header ``cluster,unit,time,outcome,c`` where ``unit`` and ``c``
 (and ``time`` for cross-sections) may be omitted; a line that starts,
 after any blanks, with an unquoted '#' is a comment (a quoted "#a" is an
 id, and ``write_panel_csv`` quotes every field of a row whose cluster id
-starts with '#').  numpy's C parser reads the body; a file it refuses is
-read again record by record, so a bad row's error still names its first
-physical line, counting the line breaks inside quoted fields.  The treated
-cluster is designated by --treated, never by a column, so one schema serves
-every design.
+starts with '#').  numpy's C parser reads the body, with the ids as
+fixed-width Unicode one character wider than the longest id in the first
+1,000 records; a file in which a parsed id fills that width, or which holds
+a NUL, is parsed again with object ids, since numpy would cut a longer id
+short without an error.  A file the parser refuses is read again record by
+record, so a bad row's error still names its first physical line, counting
+the line breaks inside quoted fields.  The treated cluster is designated by
+--treated, never by a column, so one schema serves every design.
 
 Each subcommand computes one record, and every format derives from it.
 JSON is the record and round-trips byte-identically: floats are pre-rounded
@@ -41,6 +44,7 @@ import argparse
 import array
 import csv
 import io
+import itertools
 import json
 import math
 import operator
@@ -76,9 +80,10 @@ from .worstcase import Boundary, HeterogeneitySpec, ZeroTreated
 __all__ = ["main", "read_panel_csv", "write_panel_csv"]
 
 _CSV_COLUMNS = ("cluster", "unit", "time", "outcome", "c")
-# the C parser's type of each column; ids are objects, since a fixed-width
-# string dtype would truncate them
+# the C parser's type of each column but the ids, which `_loadtxt` sizes
 _DTYPES = {"time": np.int64, "outcome": np.float64, "c": np.int64}
+# the records whose longest id sets the width of the parsed id columns
+_SAMPLE = 1_000
 _DESIGNS = {
     "mean": DesignKind.CLUSTERED_MEAN,
     "did": DesignKind.DID,
@@ -95,18 +100,19 @@ _SIDED = {"greater": Sided.ONE_SIDED_GREATER, "less": Sided.ONE_SIDED_LESS}
 def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
     """Parse the panel schema into column arrays (absent columns -> None).
 
-    numpy's C parser reads the body in one call.  A file it refuses, or one
-    whose first column holds an id starting with '#' (which may be a comment
-    line), is read again record by record, and only that reader reports errors.
+    numpy's C parser reads the body in one call, ids as fixed-width Unicode
+    one character wider than the longest in the first ``_SAMPLE`` records; a
+    file in which a parsed id fills that width, or which holds a NUL (numpy
+    drops the NULs that end a cut id), is parsed again with object ids, and a
+    pipe, which can be read only once, is parsed with object ids.  A file
+    the parser refuses, or one whose first column holds an id starting with
+    '#' (which may be a comment line), is read again record by record, and
+    only that reader reports errors.
     """
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            header = _header(path, next(_records(path, fh), (0, []))[1])
-            dtype = [(name, _DTYPES.get(name, object)) for name in header]
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                                  ndmin=1)
+        header, body = _loadtxt(path, sized=True)
+        if body is None:
+            header, body = _loadtxt(path, sized=False)
         out: dict[str, np.ndarray | None] = dict.fromkeys(_CSV_COLUMNS)
         out.update((name, _cast(name, body[name])) for name in header)
         # a comment line with the header's field count parses as a row whose
@@ -117,6 +123,41 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
     except (ValueError, OverflowError):
         pass
     return _read_records(path)
+
+
+def _loadtxt(path: str, sized: bool) -> tuple[list[str], np.ndarray | None]:
+    """The header and numpy's parse of the body, with object ids unless
+    ``sized``; a sized parse gives None for a body whose ids may be cut."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        # readline, not iteration, so that tell() can mark the body's start
+        records = _records(path, iter(fh.readline, ""))
+        header = _header(path, next(records, (0, []))[1])
+        sized = sized and fh.seekable()  # a pipe is read once, with object ids
+        ids = object
+        if sized:
+            start = fh.tell()
+            try:
+                width = 1 + max((len(field) for _, record in itertools.islice(records, _SAMPLE)
+                                 for name, field in zip(header, record)
+                                 if name not in _DTYPES), default=0)
+            except DataFormatError:  # e.g. an id beyond the csv module's field size limit
+                return header, None
+            fh.seek(start)
+            ids = f"U{width}"
+        dtype = [(name, _DTYPES.get(name, ids)) for name in header]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                              ndmin=1)
+    if sized and (any(np.char.str_len(body[name]).max(initial=0) >= width
+                      for name in header if name not in _DTYPES) or _holds_nul(path)):
+        return header, None
+    return header, body
+
+
+def _holds_nul(path: str) -> bool:
+    with open(path, "rb") as fh:
+        return any(b"\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
 def _records(path: str, fh):
@@ -202,7 +243,9 @@ def _header(path: str, record: list[str]) -> list[str]:
 def _cast(name: str, fields: list[str]) -> np.ndarray:
     """One column as an array; ValueError (or OverflowError) if a field is bad."""
     if name in ("cluster", "unit"):
-        col = np.char.strip(np.array(fields, dtype=str))
+        col = np.asarray(fields, dtype=str)
+        # as wide as the longest field, whatever width the parser gave it
+        col = np.char.strip(col.astype(f"U{np.char.str_len(col).max(initial=1)}", copy=False))
         ok = col != ""
     elif name == "outcome":
         col = np.array(fields, dtype=float)

@@ -198,8 +198,9 @@ def extract(data: PanelData, kind: DesignKind) -> Extraction:
     size = ids.size * weights.size
     counts = np.bincount(cell, minlength=size).reshape(ids.size, -1)
     _check_cells(kind, ids, counts)
-    # every cell sums its rows in ascending outcome order, whatever the row order
-    order = np.argsort(data.outcome, kind="stable")
+    # every cell sums its rows in ascending outcome order, whatever the row order;
+    # ties add equal values onto bincount's +0.0, so their order moves no bit
+    order = np.argsort(data.outcome)
     sums = np.bincount(cell[order], weights=data.outcome[order], minlength=size)
     theta = (sums.reshape(ids.size, -1) / counts) @ weights
     treated = int(np.searchsorted(ids, data.treated_cluster))

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -824,6 +825,16 @@ def _panel_csvs(draw):
     return bom + draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
+def _assert_same_columns(cols, expected):
+    """``read_panel_csv`` results equal in columns, values and dtypes."""
+    assert cols.keys() == expected.keys()
+    for name, col in expected.items():
+        if col is None:
+            assert cols[name] is None
+        else:
+            assert cols[name].dtype == col.dtype and np.array_equal(cols[name], col)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_panel_csvs())
@@ -837,13 +848,7 @@ def test_fast_path_and_record_loop_agree(tmp_path, text):
             _read_records(str(path))
         assert str(exc) == str(slow_exc.value)
         return
-    slow = _read_records(str(path))
-    assert fast.keys() == slow.keys()
-    for name, col in slow.items():
-        if col is None:
-            assert fast[name] is None
-        else:
-            assert fast[name].dtype == col.dtype and np.array_equal(fast[name], col)
+    _assert_same_columns(fast, _read_records(str(path)))
 
 
 def test_clean_panel_never_reaches_the_record_loop(tmp_path, monkeypatch):
@@ -867,6 +872,55 @@ def test_clean_panel_never_reaches_the_record_loop(tmp_path, monkeypatch):
     assert cols["time"].dtype == np.int64 and np.array_equal(cols["time"], time)
     assert cols["c"].dtype == np.int64 and np.array_equal(cols["c"], c)
     assert cols["outcome"].dtype == np.float64 and np.array_equal(cols["outcome"], outcome)
+
+
+@pytest.mark.parametrize("late", [["x" * 40], ["ab\x00\x00c"], ["x" * 40, "ab\x00\x00c"]],
+                         ids=["long", "nul", "both"])
+def test_an_id_past_the_sample_reads_back_whole(tmp_path, monkeypatch, late):
+    # the first records set the parsed id width (3 here); numpy cuts a longer
+    # id short without an error, and reads "ab\0\0c" cut at 3 as "ab"
+    rng = np.random.default_rng(26)
+    n = cli_mod._SAMPLE + 500
+    cluster = np.array([f"c{j}" for j in rng.integers(0, 7, n)], dtype=object)
+    unit = np.array([f"u{j}" for j in rng.integers(0, 10, n)], dtype=object)
+    cluster[-len(late):] = late
+    unit[-len(late):] = late
+    time, outcome = rng.integers(1, 11, n), rng.normal(size=n)
+    path = str(tmp_path / "late.csv")
+    write_panel_csv(path, cluster, outcome, time=time, unit=unit)
+    slow = _read_records(path)
+
+    def record_loop(path):
+        raise AssertionError(f"{path} fell back to the record loop")
+
+    monkeypatch.setattr(cli_mod, "_read_records", record_loop)
+    cols = read_panel_csv(path)
+    assert cols["cluster"].tolist() == cluster.tolist()
+    assert cols["unit"].tolist() == unit.tolist()
+    _assert_same_columns(cols, slow)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_panel_reads_from_a_pipe(did_csv):
+    # a pipe is read once: its ids cannot be sized and then parsed again
+    with open(did_csv, "rb") as fh:
+        text = fh.read()
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text)  # a few bytes: the pipe's buffer holds them
+        os.close(write_end)
+        cols = read_panel_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    _assert_same_columns(cols, read_panel_csv(did_csv))
+
+
+def test_an_id_beyond_the_csv_field_limit_reads_back(tmp_path):
+    # the sample that sizes the ids cannot read it, and numpy's parser can
+    big = "x" * (csv.field_size_limit() + 1)
+    path = str(tmp_path / "big.csv")
+    write_panel_csv(path, [big, "b", "c"], [1.0, 2.0, 3.0])
+    assert read_panel_csv(path)["cluster"].tolist() == [big, "b", "c"]
 
 
 # -------------------------------------------------------------- helpers

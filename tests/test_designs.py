@@ -289,15 +289,18 @@ def _cell_mean_oracle(cluster, time, c, outcome, post_start, kind):
 @given(data=st.data(), kind=st.sampled_from(list(DesignKind)))
 def test_extract_matches_a_cell_mean_oracle_and_ignores_row_order(data, kind):
     m = data.draw(st.integers(2, 6), label="controls")
+    # tied outcomes, signed zeros among them, meet in one cell in either order
+    tied = data.draw(st.booleans(), label="tied outcomes")
+    ys_from = st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.7, -2.5]) if tied else st.floats(-10, 10)
     rows = []
     for j, cid in enumerate([f"c{j}" for j in range(m)] + ["t"]):
         for c in (0, 1):
             for post in (0, 1):
                 n = data.draw(st.integers(1, 3))
-                ys = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+                ys = data.draw(st.lists(ys_from, min_size=n, max_size=n))
                 ts = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
                 # distinct cell offsets, so a wrong contrast shows even at y = 0
-                shift = (j + 1) * (1.0 + 2.0 * c + 4.0 * post + 8.0 * c * post)
+                shift = 0.0 if tied else (j + 1) * (1.0 + 2.0 * c + 4.0 * post + 8.0 * c * post)
                 rows += [(cid, t + 2 * post, c, y + shift) for t, y in zip(ts, ys)]
     cluster, time, c, outcome = (np.array(col) for col in zip(*rows))
 
@@ -315,6 +318,7 @@ def test_extract_matches_a_cell_mean_oracle_and_ignores_row_order(data, kind):
     order = data.draw(st.permutations(range(len(rows))), label="row order")
     shuffled = extract(panel(np.array(order)), kind)
     assert np.array_equal(shuffled.estimates.controls, res.estimates.controls)
+    assert shuffled.estimates.controls.tobytes() == res.estimates.controls.tobytes()
     assert shuffled.estimates.treated == res.estimates.treated
     assert shuffled.delta_hat == res.delta_hat
 
