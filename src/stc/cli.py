@@ -18,9 +18,10 @@ after any blanks, with an unquoted '#' is a comment (a quoted "#a" is an
 id, and ``write_panel_csv`` quotes every field of a row whose cluster id
 starts with '#').  numpy's C parser reads the body, with the ids as
 fixed-width Unicode one character wider than the longest id in the first
-1,000 records; a file in which a parsed id fills that width, or which holds
-a NUL, is parsed again with object ids, since numpy would cut a longer id
-short without an error.  A file the parser refuses is read again record by
+and the last 1,000 records, or as objects where that width would take more
+memory than Python strings; a file in which a parsed id fills the width, or
+which holds a NUL, is parsed again with object ids, since numpy would cut a
+longer id short without an error.  A file the parser refuses is read again record by
 record, so a bad row's error still names its first physical line, counting
 the line breaks inside quoted fields.  The treated cluster is designated by
 --treated, never by a column, so one schema serves every design.
@@ -82,7 +83,7 @@ __all__ = ["main", "read_panel_csv", "write_panel_csv"]
 _CSV_COLUMNS = ("cluster", "unit", "time", "outcome", "c")
 # the C parser's type of each column but the ids, which `_loadtxt` sizes
 _DTYPES = {"time": np.int64, "outcome": np.float64, "c": np.int64}
-# the records whose longest id sets the width of the parsed id columns
+# the records at each end whose longest id sets the width of the parsed ids
 _SAMPLE = 1_000
 _DESIGNS = {
     "mean": DesignKind.CLUSTERED_MEAN,
@@ -100,8 +101,8 @@ _SIDED = {"greater": Sided.ONE_SIDED_GREATER, "less": Sided.ONE_SIDED_LESS}
 def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
     """Parse the panel schema into column arrays (absent columns -> None).
 
-    numpy's C parser reads the body in one call, ids as fixed-width Unicode
-    one character wider than the longest in the first ``_SAMPLE`` records; a
+    numpy's C parser reads the body in one call, ids at the width that
+    `_id_width` takes from the first and the last ``_SAMPLE`` records; a
     file in which a parsed id fills that width, or which holds a NUL (numpy
     drops the NULs that end a cut id), is parsed again with object ids, and a
     pipe, which can be read only once, is parsed with object ids.  A file
@@ -126,33 +127,51 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
 
 
 def _loadtxt(path: str, sized: bool) -> tuple[list[str], np.ndarray | None]:
-    """The header and numpy's parse of the body, with object ids unless
-    ``sized``; a sized parse gives None for a body whose ids may be cut."""
+    """The header and numpy's parse of the body, with ids at `_id_width` if
+    ``sized`` and objects otherwise; a sized parse gives None for a body whose
+    ids may be cut."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         # readline, not iteration, so that tell() can mark the body's start
         records = _records(path, iter(fh.readline, ""))
         header = _header(path, next(records, (0, []))[1])
-        sized = sized and fh.seekable()  # a pipe is read once, with object ids
-        ids = object
-        if sized:
-            start = fh.tell()
-            try:
-                width = 1 + max((len(field) for _, record in itertools.islice(records, _SAMPLE)
-                                 for name, field in zip(header, record)
-                                 if name not in _DTYPES), default=0)
-            except DataFormatError:  # e.g. an id beyond the csv module's field size limit
-                return header, None
-            fh.seek(start)
-            ids = f"U{width}"
-        dtype = [(name, _DTYPES.get(name, ids)) for name in header]
+        # a pipe is read once, with object ids
+        width = _id_width(path, fh, records, header) if sized and fh.seekable() else 0
+        dtype = [(name, _DTYPES.get(name, f"U{width}" if width else object)) for name in header]
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             body = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
                               ndmin=1)
-    if sized and (any(np.char.str_len(body[name]).max(initial=0) >= width
+    if width and (any(np.char.str_len(body[name]).max(initial=0) >= width
                       for name in header if name not in _DTYPES) or _holds_nul(path)):
         return header, None
     return header, body
+
+
+def _id_width(path: str, fh, records, header: list[str]) -> int:
+    """The width of the parsed ids: one more than the longest id among the
+    first and the last `_SAMPLE` records, or 0 (object ids) if the sample
+    cannot be read or that width takes more memory per id than a pointer to
+    a Python string of the sample's mean length.  Leaves ``fh`` where it was.
+    """
+    start = fh.tell()
+    ids = [j for j, name in enumerate(header) if name not in _DTYPES]
+    try:
+        head = list(itertools.islice(records, _SAMPLE))
+        tail = []
+        if len(head) == _SAMPLE:  # ids that grow down a sorted file end it
+            stop = fh.tell()  # a byte offset: UTF-8 decoding keeps no state between lines
+            with open(path, "rb") as raw:
+                raw.seek(max(stop, raw.seek(0, os.SEEK_END) - (stop - start)))
+                text = raw.read().decode("utf-8", "replace").partition("\n")[2]
+            tail = list(_records(path, io.StringIO(text, newline="")))
+    except DataFormatError:  # e.g. an id beyond the csv module's field size limit
+        return 0
+    finally:
+        fh.seek(start)
+    lengths = [len(record[j]) for _, record in head + tail for j in ids if j < len(record)]
+    width = 1 + max(lengths, default=0)
+    strings = np.dtype(object).itemsize + sys.getsizeof("") + sum(lengths) / max(len(lengths), 1)
+    return width if 4 * width <= strings else 0
 
 
 def _holds_nul(path: str) -> bool:

@@ -877,14 +877,15 @@ def test_clean_panel_never_reaches_the_record_loop(tmp_path, monkeypatch):
 @pytest.mark.parametrize("late", [["x" * 40], ["ab\x00\x00c"], ["x" * 40, "ab\x00\x00c"]],
                          ids=["long", "nul", "both"])
 def test_an_id_past_the_sample_reads_back_whole(tmp_path, monkeypatch, late):
-    # the first records set the parsed id width (3 here); numpy cuts a longer
-    # id short without an error, and reads "ab\0\0c" cut at 3 as "ab"
+    # the records at both ends set the parsed id width (3 here); numpy cuts a
+    # longer id in between short without an error, and reads "ab\0\0c" cut
+    # at 3 as "ab"
     rng = np.random.default_rng(26)
-    n = cli_mod._SAMPLE + 500
+    n = 3 * cli_mod._SAMPLE
     cluster = np.array([f"c{j}" for j in rng.integers(0, 7, n)], dtype=object)
     unit = np.array([f"u{j}" for j in rng.integers(0, 10, n)], dtype=object)
-    cluster[-len(late):] = late
-    unit[-len(late):] = late
+    cluster[n // 2:n // 2 + len(late)] = late
+    unit[n // 2:n // 2 + len(late)] = late
     time, outcome = rng.integers(1, 11, n), rng.normal(size=n)
     path = str(tmp_path / "late.csv")
     write_panel_csv(path, cluster, outcome, time=time, unit=unit)
@@ -897,6 +898,54 @@ def test_an_id_past_the_sample_reads_back_whole(tmp_path, monkeypatch, late):
     cols = read_panel_csv(path)
     assert cols["cluster"].tolist() == cluster.tolist()
     assert cols["unit"].tolist() == unit.tolist()
+    _assert_same_columns(cols, slow)
+
+
+def _id_dtypes_parsed(monkeypatch) -> list[np.dtype]:
+    """The cluster dtype of each ``np.loadtxt`` call made from now on."""
+    calls, loadtxt = [], np.loadtxt
+
+    def recording(*args, dtype, **kwargs):
+        calls.append(np.dtype(dtype)["cluster"])
+        return loadtxt(*args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return calls
+
+
+def test_ids_growing_down_a_sorted_file_are_parsed_once(tmp_path, monkeypatch):
+    # a panel sorted by cluster and unit: the first records hold the shortest
+    # ids and the last the longest, which set the width
+    n = 3 * cli_mod._SAMPLE
+    cluster = np.array([f"c{j // 500 + 1}" for j in range(n)])
+    unit = np.array([str(j // 2) for j in range(n)])
+    time = np.tile([1, 2], n // 2)
+    outcome = np.random.default_rng(26).normal(size=n)
+    path = str(tmp_path / "sorted.csv")
+    write_panel_csv(path, cluster, outcome, time=time, unit=unit)
+    slow = _read_records(path)
+
+    parsed = _id_dtypes_parsed(monkeypatch)
+    cols = read_panel_csv(path)
+    assert parsed == [np.dtype("U5")]  # 1 + len("1499"), in one parse
+    _assert_same_columns(cols, slow)
+
+
+def test_a_long_id_among_short_ones_keeps_object_ids(tmp_path, monkeypatch):
+    # 4 bytes a character at the long id's width would dwarf the strings
+    rng = np.random.default_rng(26)
+    n = 2 * cli_mod._SAMPLE
+    cluster = np.array([f"c{j}" for j in rng.integers(0, 7, n)], dtype=object)
+    cluster[10] = "x" * 200
+    outcome = rng.normal(size=n)
+    path = str(tmp_path / "long.csv")
+    write_panel_csv(path, cluster, outcome)
+    slow = _read_records(path)
+
+    parsed = _id_dtypes_parsed(monkeypatch)
+    cols = read_panel_csv(path)
+    assert parsed == [np.dtype(object)]
+    assert cols["cluster"].tolist() == cluster.tolist()
     _assert_same_columns(cols, slow)
 
 

@@ -285,13 +285,11 @@ def _cell_mean_oracle(cluster, time, c, outcome, post_start, kind):
     return thetas
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(data=st.data(), kind=st.sampled_from(list(DesignKind)))
-def test_extract_matches_a_cell_mean_oracle_and_ignores_row_order(data, kind):
+def _draw_panel(data, ys_from, shift):
+    """m controls and treated 't', 1-3 rows a (c, post) cell with outcomes
+    from ``ys_from`` plus ``shift(j, c, post)``; the columns and a
+    ``PanelData`` of them in a given row order."""
     m = data.draw(st.integers(2, 6), label="controls")
-    # tied outcomes, signed zeros among them, meet in one cell in either order
-    tied = data.draw(st.booleans(), label="tied outcomes")
-    ys_from = st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.7, -2.5]) if tied else st.floats(-10, 10)
     rows = []
     for j, cid in enumerate([f"c{j}" for j in range(m)] + ["t"]):
         for c in (0, 1):
@@ -299,28 +297,49 @@ def test_extract_matches_a_cell_mean_oracle_and_ignores_row_order(data, kind):
                 n = data.draw(st.integers(1, 3))
                 ys = data.draw(st.lists(ys_from, min_size=n, max_size=n))
                 ts = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
-                # distinct cell offsets, so a wrong contrast shows even at y = 0
-                shift = 0.0 if tied else (j + 1) * (1.0 + 2.0 * c + 4.0 * post + 8.0 * c * post)
-                rows += [(cid, t + 2 * post, c, y + shift) for t, y in zip(ts, ys)]
+                rows += [(cid, t + 2 * post, c, y + shift(j, c, post)) for t, y in zip(ts, ys)]
     cluster, time, c, outcome = (np.array(col) for col in zip(*rows))
 
     def panel(order):
         return PanelData(cluster=cluster[order], outcome=outcome[order], treated_cluster="t",
                          time=time[order], post_start=3, c_indicator=c[order])
 
-    res = extract(panel(np.arange(len(rows))), kind)
-    oracle = _cell_mean_oracle(cluster, time, c, outcome, 3, kind)
-    assert res.control_clusters == tuple(f"c{j}" for j in range(m))
-    assert res.estimates.controls == pytest.approx(
-        [oracle[cid] for cid in res.control_clusters], rel=0, abs=1e-12)
-    assert res.estimates.treated == pytest.approx(oracle["t"], rel=0, abs=1e-12)
+    return m, (cluster, time, c, outcome), panel
 
-    order = data.draw(st.permutations(range(len(rows))), label="row order")
+
+def _check_row_order(data, kind, panel, rows, res):
+    order = data.draw(st.permutations(range(rows)), label="row order")
     shuffled = extract(panel(np.array(order)), kind)
     assert np.array_equal(shuffled.estimates.controls, res.estimates.controls)
     assert shuffled.estimates.controls.tobytes() == res.estimates.controls.tobytes()
     assert shuffled.estimates.treated == res.estimates.treated
     assert shuffled.delta_hat == res.delta_hat
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(list(DesignKind)))
+def test_extract_matches_a_cell_mean_oracle_and_ignores_row_order(data, kind):
+    # distinct cell offsets, so a wrong contrast shows even at y = 0
+    m, (cluster, time, c, outcome), panel = _draw_panel(
+        data, st.floats(-10, 10),
+        lambda j, c, post: (j + 1) * (1.0 + 2.0 * c + 4.0 * post + 8.0 * c * post))
+
+    res = extract(panel(np.arange(outcome.size)), kind)
+    oracle = _cell_mean_oracle(cluster, time, c, outcome, 3, kind)
+    assert res.control_clusters == tuple(f"c{j}" for j in range(m))
+    assert res.estimates.controls == pytest.approx(
+        [oracle[cid] for cid in res.control_clusters], rel=0, abs=1e-12)
+    assert res.estimates.treated == pytest.approx(oracle["t"], rel=0, abs=1e-12)
+    _check_row_order(data, kind, panel, outcome.size, res)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(list(DesignKind)))
+def test_extract_ignores_row_order_among_tied_outcomes(data, kind):
+    # tied outcomes, signed zeros among them, meet in one cell in either order
+    _, (*_, outcome), panel = _draw_panel(
+        data, st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.7, -2.5]), lambda j, c, post: 0.0)
+    _check_row_order(data, kind, panel, outcome.size, extract(panel(slice(None)), kind))
 
 
 def test_the_first_broken_cluster_in_id_order_is_named():
