@@ -8,8 +8,7 @@ Exit codes are a stable contract: 0 success, 2 usage/parameter error,
 3 method infeasibility (no valid critical value / numerical failure),
 4 data error (malformed or non-UTF-8 CSV, including a non-finite outcome or
 an integer outside 64 bits; design violations; files that cannot be read or
-written).  The STC_THREADS environment variable caps ``table --workers``; a
-value of either that is not an integer >= 1 is a parameter error.
+written).
 
 The panel CSV schema: UTF-8 (a leading byte-order mark is skipped), '.'
 decimal, header ``cluster,unit,time,outcome,c`` where ``unit`` and ``c``
@@ -104,16 +103,18 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
     numpy's C parser reads the body in one call, ids at the width that
     `_id_width` takes from the first and the last ``_SAMPLE`` records; a
     file in which a parsed id fills that width, or which holds a NUL (numpy
-    drops the NULs that end a cut id), is parsed again with object ids, and a
-    pipe, which can be read only once, is parsed with object ids.  A file
-    the parser refuses, or one whose first column holds an id starting with
-    '#' (which may be a comment line), is read again record by record, and
-    only that reader reports errors.
+    drops the NULs that end a cut id), is parsed again with object ids.  A
+    pipe can be read only once: its bytes are held, and parsed with object
+    ids.  A file the parser refuses, or one whose first column holds an id
+    starting with '#' (which may be a comment line), is read again record by
+    record, and only that reader reports errors.
     """
+    with open(path, "rb") as fh:
+        held = None if fh.seekable() else fh.read()
     try:
-        header, body = _loadtxt(path, sized=True)
+        header, body = _loadtxt(path, held, sized=held is None)
         if body is None:
-            header, body = _loadtxt(path, sized=False)
+            header, body = _loadtxt(path, held, sized=False)
         out: dict[str, np.ndarray | None] = dict.fromkeys(_CSV_COLUMNS)
         out.update((name, _cast(name, body[name])) for name in header)
         # a comment line with the header's field count parses as a row whose
@@ -123,19 +124,25 @@ def read_panel_csv(path: str) -> dict[str, np.ndarray | None]:
             return out
     except (ValueError, OverflowError):
         pass
-    return _read_records(path)
+    return _read_records(path, held)
 
 
-def _loadtxt(path: str, sized: bool) -> tuple[list[str], np.ndarray | None]:
+def _open(path: str, held: bytes | None):
+    """The panel as text: the file at ``path``, or a pipe's ``held`` bytes."""
+    if held is None:
+        return open(path, encoding="utf-8-sig", newline="")
+    return io.TextIOWrapper(io.BytesIO(held), encoding="utf-8-sig", newline="")
+
+
+def _loadtxt(path: str, held: bytes | None, sized: bool) -> tuple[list[str], np.ndarray | None]:
     """The header and numpy's parse of the body, with ids at `_id_width` if
     ``sized`` and objects otherwise; a sized parse gives None for a body whose
-    ids may be cut."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    ids may be cut.  ``held`` is as in `_open`."""
+    with _open(path, held) as fh:
         # readline, not iteration, so that tell() can mark the body's start
         records = _records(path, iter(fh.readline, ""))
         header = _header(path, next(records, (0, []))[1])
-        # a pipe is read once, with object ids
-        width = _id_width(path, fh, records, header) if sized and fh.seekable() else 0
+        width = _id_width(path, fh, records, header) if sized else 0
         dtype = [(name, _DTYPES.get(name, f"U{width}" if width else object)) for name in header]
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -204,7 +211,7 @@ def _records(path: str, fh):
         raise DataFormatError(f"{path} line {seen + 1}: {exc}") from None
 
 
-def _read_records(path: str) -> dict[str, np.ndarray | None]:
+def _read_records(path: str, held: bytes | None = None) -> dict[str, np.ndarray | None]:
     """`read_panel_csv` record by record, naming the first error.
 
     Each column is cast once; only a failed cast is searched for its first
@@ -212,7 +219,7 @@ def _read_records(path: str) -> dict[str, np.ndarray | None]:
     """
     rows: list[list[str]] = []
     numbers = array.array("q")  # each row's first physical line
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with _open(path, held) as fh:
         for number, record in _records(path, fh):
             rows.append(record)
             numbers.append(number)
@@ -470,15 +477,7 @@ def _arg_type(parse):
 
 
 def _workers(args) -> int:
-    workers = as_integer("--workers", getattr(args, "workers", 1), minimum=1)
-    cap = os.environ.get("STC_THREADS")
-    if cap is None:
-        return workers
-    try:
-        threads = int(cap)
-    except ValueError:
-        raise InvalidParameterError(f"STC_THREADS must be an integer, got {cap!r}") from None
-    return min(workers, as_integer("STC_THREADS", threads, minimum=1))
+    return as_integer("--workers", getattr(args, "workers", 1), minimum=1)
 
 
 def _panel(args):

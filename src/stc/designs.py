@@ -87,13 +87,13 @@ class PanelData:
                 raise InvalidParameterError("c_indicator must contain only 0 and 1")
             columns[name] = col
         treated = str(self.treated_cluster)
-        ids = set(np.unique(cluster))
-        if treated not in ids:
+        # numpy drops a string's trailing NULs, which no id in ``cluster`` keeps
+        others = cluster[cluster != treated]
+        if others.size == n or treated.endswith("\0"):
             raise DesignViolationError(f"treated cluster {treated!r} has no observations")
-        if len(ids) - 1 < 2:
-            raise DesignViolationError(
-                f"need at least 2 control clusters, found {len(ids) - 1}"
-            )
+        controls = 0 if others.size == 0 else 1 if np.all(others == others[0]) else 2
+        if controls < 2:
+            raise DesignViolationError(f"need at least 2 control clusters, found {controls}")
         for name, col in columns.items():
             col = col.copy()
             col.flags.writeable = False

@@ -8,8 +8,8 @@ two-sided t-test at threshold c is attained either
     over the number j of active controls), or
   * on the boundary of the feasible set, at a ratio configuration with m1
     controls at rho^{-1}, m0 at zero (m0 <= k-1), and the remaining
-    m - m1 - m0 at a common free value gamma (`p_bar`), maximized over
-    gamma (`p_tilde`).
+    m - m1 - m0 at a common free value gamma; the branch (m1, m0) takes the
+    largest rejection probability over gamma.
 
 `p_max` takes the maximum over all such branches; at most k*(2m+1-k)/2 of
 them are needed for one (k, rho).  Each branch is a cheap one-dimensional
@@ -22,13 +22,14 @@ three (value, count) groups (`_boundary_rows`), so a kernel evaluation
 costs the same at every m.  One optimizer, `_optimize_gamma_branches`, runs
 that search for a group of branches in lock-step, so that each Brent step
 costs one vectorized tail evaluation for the whole group.  One producer,
-`_branch_traces`, hands it the free branches of `p_max` (all in one group),
-`p_tilde` and the inversions' `_branch_value` (one branch each).  The tail
-kernel's values do not depend on the batch a row is evaluated in, so a
-branch's trace is the same either way.  At a domain end a branch's row is
-one of the k fixed configurations (free count 0), which many branches name:
-a kernel call evaluates each such configuration once, and a search that
-ends on one takes `p_max`'s own fixed-branch value rather than a new row.
+`_branch_traces`, turns branches into kernel rows: it hands the optimizer the
+free branches of `p_max` (all in one group) and of the inversions'
+`_branch_value` (one branch each).  The tail kernel's values do not depend
+on the batch a row is evaluated in, so a branch's trace is the same either
+way.  At a domain end a branch's row is one of the k fixed configurations
+(free count 0), which many branches name: a kernel call evaluates each such
+configuration once, and a search that ends on one takes `p_max`'s own
+fixed-branch value rather than a new row.
 
 At k = 1 (m >= 4, rho > 0), wherever the validity function h_bar(m, c, rho)
 is <= 0, the worst case is the all-equal branch (m, 0), every control at
@@ -54,8 +55,6 @@ __all__ = [
     "BranchTrace",
     "h_bar",
     "p_zero_treated",
-    "p_bar",
-    "p_tilde",
     "p_max",
 ]
 
@@ -234,46 +233,6 @@ def _boundary_rows(m: int, rho: float, m1, m0, gamma) -> tuple[np.ndarray, np.nd
     return values, counts
 
 
-def _check_branch(m: int, rho: float, m1: int, m0: int) -> None:
-    if not (0 <= m0 and 0 <= m1 and m0 + m1 <= m):
-        raise InvalidParameterError(f"invalid branch counts m1={m1}, m0={m0} for m={m}")
-    if m1 == 0 and m0 == m:
-        raise InvalidParameterError("all-zero ratio configuration (m1=0, m0=m)")
-    if not (math.isfinite(rho) and rho > 0):
-        raise InvalidParameterError(f"rho must be finite and > 0, got {rho!r}")
-
-
-def p_bar(
-    m: int,
-    c: float,
-    rho: float,
-    gamma: float | None,
-    m1: int,
-    m0: int,
-) -> float:
-    """Rejection probability at the structured boundary configuration.
-
-    The ratio vector has m1 entries at rho^{-1}, m0 zeros, and the remaining
-    m - m1 - m0 entries at ``gamma`` (required iff that remainder is
-    positive; ignored otherwise).
-    """
-    m, c = _validate_mc(m, c)
-    _check_branch(m, rho, m1, m0)
-    rest = m - m1 - m0
-    if rest > 0:
-        if gamma is None:
-            raise InvalidParameterError("gamma required when m1 + m0 < m")
-        gamma = float(gamma)
-        if not math.isfinite(gamma) or gamma < 0:
-            raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma!r}")
-        if gamma == 0.0 and m1 == 0:
-            raise InvalidParameterError("all-zero ratio configuration (m1=0, gamma=0)")
-    else:
-        gamma = 0.0  # no remaining columns exist; value unused
-    values, counts = _boundary_rows(m, rho, m1, m0, gamma)
-    return float(_tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)[0])
-
-
 def _gamma_candidates(rho: float, rho_lower: float) -> np.ndarray:
     """Log grid over the free-ratio domain, 4 points a decade, ends included."""
     lower, gamma_max = max(rho_lower, 1e-6), 1e4 * max(1.0, 1.0 / rho)
@@ -281,42 +240,22 @@ def _gamma_candidates(rho: float, rho_lower: float) -> np.ndarray:
     return np.unique(np.concatenate([[rho_lower], np.geomspace(lower, gamma_max, n)]))
 
 
-def p_tilde(
-    m: int,
-    c: float,
-    k: int,
-    rho: float,
-    m1: int,
-    m0: int,
-) -> float:
-    """Supremum of p_bar over the free ratio gamma in [rho_lower, inf).
-
-    The domain lower end is 0 when m1 >= m - k + 1 (the k-th smallest ratio
-    is then pinned at rho^{-1} regardless of gamma) and rho^{-1} otherwise.
-    The search truncates at 1e4 * max(1, rho^{-1}); the gamma -> infinity
-    limit is dominated by the zero-treated branch, which `p_max` includes
-    explicitly, so truncation cannot lose the supremum.
-    """
-    m, c = _validate_mc(m, c)
-    _check_branch(m, rho, m1, m0)
-    if not 1 <= k <= m:
-        raise InvalidParameterError(f"k must lie in 1..{m}, got {k}")
-    return _branch_traces(m, c, k, rho, [(m1, m0)])[0].value
-
-
 def _branch_traces(m: int, c: float, k: int, rho: float, pairs: list[tuple[int, int]],
                    stop_above: float | None = None) -> list[BranchTrace]:
     """Traces of the (m1, m0) branches asked for, the fixed ones (m1 + m0 = m) first.
 
-    The one producer of branch values for `p_max`, `p_tilde` and
-    `_branch_value`, so a branch's value is the same whichever asks.  One
-    trace per pair, except where the k = 1 closed form holds at c and (m, 0)
-    is asked for: that branch is then the worst of all, and its one trace,
-    the closed-form tail with n_evals = 0, is returned alone; no kernel runs.
-    Otherwise a fixed branch is one default-rule row; the free ones go to one
-    `_optimize_gamma_branches` search.  With ``stop_above`` set, the free
-    search is skipped, and only the fixed traces return, when a fixed value
-    is already above it; otherwise every pair's trace returns.
+    The one producer of branch values for `p_max` and `_branch_value`, so a
+    branch's value is the same whichever asks.  One trace per pair, except
+    where the k = 1 closed form holds at c and (m, 0) is asked for: that branch
+    is then the worst of all, and its one trace, the closed-form tail with
+    n_evals = 0, is returned alone; no kernel runs.  Otherwise a fixed branch
+    is one default-rule row; the free ones go to one `_optimize_gamma_branches`
+    search over gamma in [rho_lower, 1e4 * max(1, 1/rho)], where rho_lower is 0
+    if m1 >= m - k + 1 (the k-th smallest ratio is then 1/rho whatever gamma)
+    and 1/rho otherwise; the gamma -> inf limit is the zero-treated branch,
+    which `p_max` takes on its own.  With ``stop_above`` set, the free search
+    is skipped, and only the fixed traces return, when a fixed value is
+    already above it; otherwise every pair's trace returns.
     """
     if k == 1 and m >= 4 and rho > 0 and (m, 0) in pairs and c > _h_bar_domain(m) \
             and h_bar(m, c, rho) <= 0.0:
@@ -440,7 +379,7 @@ def _optimize_gamma_branches(
     branches: list[tuple[int, int, float]],
     fixed: dict[int, float] | None = None,
 ) -> list[BranchTrace]:
-    """Maximize p_bar over gamma for several (m1, m0) branches in lock-step.
+    """Maximize each (m1, m0) branch's row over gamma, several branches in lock-step.
 
     Each branch evaluates its grid (`_gamma_candidates`) on the probe rule,
     then runs Brent's method (`_brent_max`) from every grid peak, bracketed

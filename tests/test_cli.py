@@ -964,6 +964,30 @@ def test_a_panel_reads_from_a_pipe(did_csv):
     _assert_same_columns(cols, read_panel_csv(did_csv))
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("text, message", [
+    (b"cluster,time,outcome\na,1,1.0\na,2,oops\nb,1,2\n",
+     " line 3: bad value 'oops' in column 'outcome'"),
+    (b"cluster,time,outcome\na,1,1.0\n\xff\xfe,2,3\n", ": not UTF-8 text (invalid start byte)"),
+], ids=["bad-value", "not-utf8"])
+def test_a_bad_panel_from_a_pipe_names_its_error(tmp_path, text, message):
+    # the record loop reads the pipe's held bytes, not the drained pipe
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    with pytest.raises(DataFormatError) as on_disk:
+        read_panel_csv(str(path))
+    assert str(on_disk.value) == f"{path}{message}"
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text)
+        os.close(write_end)
+        with pytest.raises(DataFormatError) as piped:
+            read_panel_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert str(piped.value) == f"/dev/fd/{read_end}{message}"
+
+
 def test_an_id_beyond_the_csv_field_limit_reads_back(tmp_path):
     # the sample that sizes the ids cannot read it, and numpy's parser can
     big = "x" * (csv.field_size_limit() + 1)
@@ -1047,29 +1071,12 @@ def test_table_refuses_invalid_parameters(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_workers_env_cap(monkeypatch, capsys):
+def test_workers_must_be_at_least_one(capsys):
     from argparse import Namespace
 
     from stc.cli import _workers
 
-    monkeypatch.setenv("STC_THREADS", "2")
-    assert _workers(Namespace(workers=8)) == 2
-    monkeypatch.setenv("STC_THREADS", "abc")
-    with pytest.raises(InvalidParameterError, match="STC_THREADS"):
-        _workers(Namespace(workers=8))
-    code, _, err = _run(
-        capsys, ["table", "--alphas", "0.05", "--ms", "5", "--rhos", "1", "--workers", "2"]
-    )
-    assert code == 2
-    assert err.startswith("error: STC_THREADS")
-    # a count below 1 is refused too, not run serially
-    monkeypatch.setenv("STC_THREADS", "0")
-    code, _, err = _run(
-        capsys, ["table", "--alphas", "0.05", "--ms", "5", "--rhos", "1", "--workers", "2"]
-    )
-    assert code == 2
-    assert err == "error: STC_THREADS must be >= 1, got 0\n"
-    monkeypatch.delenv("STC_THREADS")
+    # a count below 1 is refused, not run serially
     code, _, err = _run(
         capsys, ["table", "--alphas", "0.05", "--ms", "5", "--rhos", "1", "--workers", "-3"]
     )

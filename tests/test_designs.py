@@ -219,6 +219,9 @@ def test_panel_validation():
             outcome=np.zeros(3),
             treated_cluster="zzz",
         )
+    # numpy reads "t\0" as "t"; the id itself names no cluster
+    with pytest.raises(DesignViolationError, match=r"'t\\x00' has no observations"):
+        PanelData(cluster=np.array(["a", "b", "t"]), outcome=np.zeros(3), treated_cluster="t\0")
     with pytest.raises(DesignViolationError, match="at least 2 control"):
         PanelData(
             cluster=np.array(["a", "t"]), outcome=np.zeros(2), treated_cluster="t"
@@ -238,6 +241,13 @@ def test_panel_validation():
         )
     with pytest.raises(InvalidParameterError, match="unknown design kind"):
         extract(_mean_panel(), "mean")
+
+
+@pytest.mark.parametrize("cluster, found", [(["t", "t"], 0), (["a", "t", "a"], 1)])
+def test_too_few_control_clusters_are_counted(cluster, found):
+    with pytest.raises(DesignViolationError) as err:
+        PanelData(cluster=np.array(cluster), outcome=np.zeros(len(cluster)), treated_cluster="t")
+    assert str(err.value) == f"need at least 2 control clusters, found {found}"
 
 
 def test_rank_deficiency_error_type():

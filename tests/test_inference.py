@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stc.charpoly import GammaConfig
 from stc.critical_values import _first_true, alpha_underline, c_underline, critical_value, h_bar
 from stc.distributions import t_two_sided_tail
 from stc.errors import InvalidParameterError, NumericalFailureError
@@ -23,8 +24,9 @@ from stc.inference import (
     t_statistic,
     t_statistics,
 )
+from stc.rejection import rejection_probability
 from stc.simulate import empirical_rejection_rate
-from stc.worstcase import (Boundary, HeterogeneitySpec, _branch_order, _branch_traces, p_bar, p_max,
+from stc.worstcase import (Boundary, HeterogeneitySpec, _branch_order, _branch_traces, p_max,
                            p_zero_treated)
 
 SPEC51 = HeterogeneitySpec(m=5, k=1, rho=1.0)
@@ -123,7 +125,8 @@ def test_k1_closed_form_tail_is_the_worst_case():
                 for tr in _branch_traces(m, c, 1, rho, others):
                     assert tr.value <= tail * (1.0 + 1e-12), (m, rho, f, tr)
                 assert p_zero_treated(m, c) <= tail * (1.0 + 1e-12), (m, rho, f)
-                assert p_bar(m, c, rho, None, m, 0) == pytest.approx(tail, rel=1e-12, abs=0.0)
+                equal = rejection_probability(GammaConfig(np.full(m, 1.0 / rho), c))
+                assert equal == pytest.approx(tail, rel=1e-12, abs=0.0)
                 full = p_max(m, c, HeterogeneitySpec(m, 1, rho))
                 assert (full.value, full.achieving_config) == (tail, Boundary(m, 0, None))
 

@@ -31,7 +31,7 @@ def test_module_exports_resolve():
 def test_core_surface_is_exported():
     for name in ("negative_root", "NegativeRoot", "BracketSignError", "rejection_probability"):
         assert name in stc.__all__
-    assert "p_tilde" in importlib.import_module("stc.worstcase").__all__
+    assert "p_max" in importlib.import_module("stc.worstcase").__all__
 
 
 def test_worst_case_kernel_calls_go_through_the_module_seam(monkeypatch):

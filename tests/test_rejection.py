@@ -24,7 +24,7 @@ from stc.rejection import (
     rejection_probability,
 )
 from stc.simulate import empirical_rejection_rate
-from stc.worstcase import _PROBE_SETTINGS, HeterogeneitySpec, _boundary_rows, p_bar, p_max, p_tilde
+from stc.worstcase import _PROBE_SETTINGS, HeterogeneitySpec, _boundary_rows, _branch_traces, p_max
 
 
 def _equal_ratio_exact(m: int, gamma: float, c: float) -> float:
@@ -204,9 +204,10 @@ def test_concurrent_kernel_calls_match_serial_ones():
 def test_overflowing_ratio_is_one_numerical_failure():
     # kappa * ratio^2 past the float range is refused at the kernel entry,
     # before numpy warns of an overflow and the integral turns to nan
+    values, counts = _boundary_rows(5, 1.0, 1, 0, 1e200)
     calls = (
-        lambda: p_tilde(5, 2.0, 2, 1e-160, 0, 0),
-        lambda: p_bar(5, 2.0, 1.0, 1e200, 1, 0),
+        lambda: _branch_traces(5, 2.0, 2, 1e-160, [(0, 0)]),
+        lambda: _tails_for_gamma_rows(values, 2.0, counts=counts),
         lambda: rejection_probability(GammaConfig([1e200, 1, 1], 2.0)),
     )
     with warnings.catch_warnings():

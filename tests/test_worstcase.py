@@ -24,11 +24,16 @@ from stc.worstcase import (
     _gamma_candidates,
     _optimize_gamma_branches,
     h_bar,
-    p_bar,
     p_max,
-    p_tilde,
     p_zero_treated,
 )
+
+
+def _boundary_tails(m, c, rho, m1, m0, gamma) -> np.ndarray:
+    """Default-rule values of the boundary rows (m1 ratios at 1/rho, m0 zeros,
+    the rest at gamma), broadcast over the arguments as `_boundary_rows` is."""
+    values, counts = _boundary_rows(m, rho, m1, m0, gamma)
+    return _tails_for_gamma_rows(values, c, DEFAULT_SETTINGS, counts=counts)
 
 
 def test_spec_validation():
@@ -94,7 +99,7 @@ def test_p_bar_matches_direct_tail():
     direct = rejection_probability(
         GammaConfig(np.array([0.5, 0.5, 0.0, 1.3, 1.3, 1.3]), c)
     )
-    assert p_bar(m, c, rho, 1.3, m1=2, m0=1) == pytest.approx(direct, rel=1e-12)
+    assert _boundary_tails(m, c, rho, 2, 1, 1.3)[0] == pytest.approx(direct, rel=1e-12)
 
 
 def _stacked_boundary_rows(m, rho, m1, m0, gamma):
@@ -136,30 +141,21 @@ def test_boundary_rows_refuse_shapes_that_do_not_broadcast():
 def test_p_bar_continuity_at_pinned_ratio():
     # sending the free ratio to rho^{-1} merges into the fully pinned branch
     m, c, rho = 6, 2.5, 2.0
-    pinned = p_bar(m, c, rho, None, m1=m, m0=0)
-    nearly = p_bar(m, c, rho, 1.0 / rho, m1=m - 1, m0=0)
+    (pinned,) = _boundary_tails(m, c, rho, m, 0, 0.0)
+    (nearly,) = _boundary_tails(m, c, rho, m - 1, 0, 1.0 / rho)
     assert nearly == pytest.approx(pinned, rel=1e-12)
     # and without free columns the gamma argument is irrelevant
-    assert p_bar(m, c, rho, 5.0, m1=m, m0=0) == pinned
-
-
-def test_p_bar_rejects_degenerate_branches():
-    with pytest.raises(InvalidParameterError):
-        p_bar(4, 2.0, 1.5, None, m1=0, m0=4)
-    with pytest.raises(InvalidParameterError):
-        p_bar(4, 2.0, 1.5, 0.0, m1=0, m0=2)
-    with pytest.raises(InvalidParameterError):
-        p_bar(4, 2.0, 1.5, None, m1=3, m0=0)  # free columns need gamma
+    assert _boundary_tails(m, c, rho, m, 0, 5.0)[0] == pinned
 
 
 def test_p_tilde_dominates_any_grid():
     m, k, rho = 6, 1, 2.0
     c = math.sqrt(rho * rho + 1.0 / m) * t_quantile(m - 1, 0.975)
     for m1, m0 in ((0, 0), (3, 0), (5, 0)):
-        best = p_tilde(m, c, k, rho, m1, m0)
+        (best,) = _branch_traces(m, c, k, rho, [(m1, m0)])
         lower = 0.0 if m1 >= m - k + 1 else 1.0 / rho
-        for g in np.geomspace(max(lower, 1e-4), 50.0, 40):
-            assert p_bar(m, c, rho, float(g), m1, m0) <= best + 1e-7
+        grid = _boundary_tails(m, c, rho, m1, m0, np.geomspace(max(lower, 1e-4), 50.0, 40))
+        assert np.all(grid <= best.value + 1e-7), (m1, m0)
 
 
 def test_p_tilde_finds_boundary_argmax():
@@ -167,9 +163,9 @@ def test_p_tilde_finds_boundary_argmax():
     # sits at the domain's lower end rho^{-1}
     m, k, rho = 6, 1, 2.0
     c = math.sqrt(rho * rho + 1.0 / m) * t_quantile(m - 1, 0.975)
-    got = p_tilde(m, c, k, rho, m1=0, m0=0)
-    at_lower = p_bar(m, c, rho, 1.0 / rho, m1=0, m0=0)
-    assert got == pytest.approx(at_lower, rel=1e-6)
+    (got,) = _branch_traces(m, c, k, rho, [(0, 0)])
+    (at_lower,) = _boundary_tails(m, c, rho, 0, 0, 1.0 / rho)
+    assert got.value == pytest.approx(at_lower, rel=1e-6)
 
 
 def test_p_max_degenerate_threshold():
@@ -238,6 +234,26 @@ def test_random_feasible_configs_never_beat_maximum():
                 continue
             p = rejection_probability(GammaConfig(gammas, c))
             assert p <= res.value + 1e-6
+
+
+def test_boundary_achiever_reproduces_p_max_on_the_ungrouped_path():
+    # the reported configuration, expanded to its m ratios, is a plain ratio
+    # vector: the ungrouped kernel path must give p_max's value back
+    rng = np.random.default_rng(27)
+    checked = 0
+    for _ in range(60):
+        m = int(rng.integers(2, 13))
+        k = int(rng.integers(1, m + 1))
+        rho = float(10.0 ** rng.uniform(-1.0, 1.0))
+        c = float(rng.uniform(1.05 / math.sqrt(m), 5.0))
+        res = p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho))
+        cfg = res.achieving_config
+        if isinstance(cfg, Boundary):
+            ratios = [1.0 / rho] * cfg.m1 + [0.0] * cfg.m0 + [cfg.gamma] * (m - cfg.m1 - cfg.m0)
+            got = rejection_probability(GammaConfig(np.array(ratios), c))
+            assert got == pytest.approx(res.value, rel=1e-12, abs=0.0), (m, k, rho, c, cfg)
+            checked += 1
+    assert checked >= 40
 
 
 def test_p_max_monotone_in_rho_k_and_c():
@@ -422,10 +438,10 @@ def test_branch_budget_respected():
 
 def test_p_max_branches_match_single_branch_p_tilde():
     # p_max optimizes its free-ratio branches in one lock-step group; each
-    # branch's trace must equal the branch optimized alone (p_tilde), with
+    # branch's trace must equal the branch optimized alone, with
     # the same number of kernel evaluations.  At (25, k=2, rho=2, c=5.7556)
     # every free branch ends on its lower domain end, so p_max reuses a
-    # fixed branch's value where p_tilde evaluates the branch's own row
+    # fixed branch's value where the branch alone evaluates its own row
     cases = ((6, 2, 2.0, 2.5), (8, 3, 0.7, 3.0), (11, 2, 1.5, 2.2), (25, 2, 2.0, 5.7556))
     for m, k, rho, c in cases:
         res = p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho))
@@ -435,7 +451,7 @@ def test_p_max_branches_match_single_branch_p_tilde():
         if m == 25:
             assert all(tr.gamma == tr.rho_lower for tr in free)
         for tr in free:
-            assert p_tilde(m, c, k, rho, tr.m1, tr.m0) == tr.value
+            assert _branch_traces(m, c, k, rho, [(tr.m1, tr.m0)])[0].value == tr.value
             (alone,) = _optimize_gamma_branches(m, c, rho, [(tr.m1, tr.m0, tr.rho_lower)])
             assert alone.n_evals == tr.n_evals
             assert alone.gamma == tr.gamma
@@ -527,10 +543,10 @@ def test_gamma_truncation_loses_nothing_beyond_it():
         top = p_max(m, c, HeterogeneitySpec(m=m, k=k, rho=rho)).value
         for m1, m0 in _branch_order(m, k):
             if m1 + m0 < m:
-                for scale in (1e5, 1e6, 1e8):
-                    gamma = scale * max(1.0, 1.0 / rho)
-                    assert p_bar(m, c, rho, gamma, m1, m0) <= top + 1e-12, (m, k, rho, c, m1, m0)
-                    points += 1
+                gammas = np.array([1e5, 1e6, 1e8]) * max(1.0, 1.0 / rho)
+                tails = _boundary_tails(m, c, rho, m1, m0, gammas)
+                assert np.all(tails <= top + 1e-12), (m, k, rho, c, m1, m0)
+                points += tails.size
     assert points >= 1000
 
 
